@@ -2,17 +2,14 @@
 
 Exit codes: 0 success, 2 validation or hard error, 3 a measure or
 convergence run finished without meeting its tolerance (soft failure).
-All output is deterministic for a fixed command line and seed; the
-``GRAPHDN_THREADS`` environment variable sets the default worker count for
-per-depth solves.
+All output is deterministic for a fixed command line and seed.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import fileio, measure
@@ -50,31 +47,31 @@ class RunConfig:
     solution_out: str | None = None
     shortcuts: tuple[str, ...] = ()
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         if (self.graph_file is None) == (self.family is None):
             raise ValidationError(
                 "exactly one input source required (graph file or family flags)"
             )
-        if not self.tol > 0.0:
-            raise ValidationError(f"tolerance must be positive, got {self.tol}")
+        if not (self.tol > 0.0 and math.isfinite(self.tol)):
+            raise ValidationError(
+                f"tolerance must be positive and finite, got {self.tol}"
+            )
         if self.depth_range is not None and self.depth_range[1] < self.depth_range[0]:
             raise ValidationError(f"empty depth range {self.depth_range}")
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("GRAPHDN_THREADS", "1")
+def _parse_float(token: str, what: str) -> float:
     try:
-        return max(1, int(raw))
+        return float(token)
     except ValueError:
-        return 1
+        raise ValidationError(f"cannot parse {what} {token!r} as a number") from None
 
 
 def _family_from_args(args, depth: int | None = None) -> AlphaBetaSpec:
     kappa2 = ()
     if args.kappa2:
-        kappa2 = tuple(float(x) for x in args.kappa2.split(","))
+        kappa2 = tuple(_parse_float(x, "kappa2") for x in args.kappa2.split(","))
     return AlphaBetaSpec(
         alpha=args.alpha,
         depth=depth if depth is not None else getattr(args, "depth", 2),
@@ -118,7 +115,7 @@ def _parse_function(family: AlphaBetaSpec, spec: str) -> SimpleBoundaryFunction:
                 coef = sign
                 if "*" in token:
                     raw, token = token.split("*", 1)
-                    coef = sign * float(raw)
+                    coef = sign * _parse_float(raw, "coefficient")
                 terms.append(
                     (coef, SimpleBoundaryFunction.indicator(_parse_set(family, token)))
                 )
@@ -144,7 +141,12 @@ def _resolve_vertex(g: MetricGraph, token: str) -> int:
         if token[1:] not in index:
             raise ValidationError(f"no vertex at address {token!r}")
         return index[token[1:]]
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:
+        raise ValidationError(
+            f"cannot parse vertex {token!r} (expected an id, v0, or @ADDRESS)"
+        ) from None
 
 
 def _parse_boundary_data(g: MetricGraph, spec: str) -> dict[int, float]:
@@ -158,9 +160,9 @@ def _parse_boundary_data(g: MetricGraph, spec: str) -> dict[int, float]:
         if not raw:
             raise ValidationError(f"malformed boundary datum {item!r}")
         if key.strip() == "default":
-            default = float(raw)
+            default = _parse_float(raw, "boundary value")
             continue
-        data[_resolve_vertex(g, key)] = float(raw)
+        data[_resolve_vertex(g, key)] = _parse_float(raw, "boundary value")
     if default is not None:
         for v in g.boundary_vertices:
             data.setdefault(v, default)
@@ -207,7 +209,7 @@ def _cmd_generate(args) -> int:
                 (
                     _resolve_vertex(g, fields[0]),
                     _resolve_vertex(g, fields[1]),
-                    float(fields[2]),
+                    _parse_float(fields[2], "shortcut length"),
                 )
             )
         g, short_report = add_shortcut_edges(g, parsed, seed=config.seed)
@@ -223,12 +225,12 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _summarize_solution(g, sol) -> None:
+def _summarize_solution(g, sol, system) -> None:
     kirchhoff, scales = sol.kirchhoff_residuals()
     worst = float((kirchhoff / (scales + (scales == 0))).max()) if len(kirchhoff) else 0.0
     balance = current_balance(sol)
     identity = energy_identity(sol)
-    dn = dn_matrix(g)
+    dn = dn_matrix(g, system)
     principle = max_principle_check(sol)
     print(f"energy {sol.energy:.12g}")
     print(f"kirchhoff-residual {worst:.6g}")
@@ -258,7 +260,7 @@ def _cmd_solve(args) -> int:
     system = InteriorSystem(g)
     sol = solve_dirichlet(g, data, system=system)
     print(f"condition-estimate {system.condition_estimate:.6g}")
-    _summarize_solution(g, sol)
+    _summarize_solution(g, sol, system)
     if config.solution_out:
         fileio.write_solution(sol, config.solution_out)
     return 0
@@ -286,14 +288,6 @@ def _cmd_dn(args) -> int:
     return 0
 
 
-def _prewarm(f: SimpleBoundaryFunction, depths, threads: int) -> None:
-    if threads <= 1:
-        return
-    whole = ClopenSet.whole_boundary(f.family)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(lambda n: measure.dn_at_depth(f, whole, n), depths))
-
-
 def _cmd_converge(args) -> int:
     family = _family_from_args(args)
     config = RunConfig(
@@ -305,14 +299,12 @@ def _cmd_converge(args) -> int:
         depth_range=(args.min_depth or 2, args.max_depth),
         output=args.output,
         plot_data=args.plot_data,
-        threads=args.threads,
     )
     f = _parse_function(family, config.f_spec)
     e = _parse_set(family, config.e_spec)
     start = max(
         config.depth_range[0], f.min_truncation_depth, e.min_truncation_depth
     )
-    _prewarm(f, range(start, config.depth_range[1] + 1), config.threads)
     report = measure.dn_function(
         f, e, tol=config.tol, n_max=config.depth_range[1], n_min=start
     )
@@ -341,14 +333,8 @@ def _cmd_measure(args) -> int:
         depth_range=(2, args.max_depth),
         partition_depth=args.partition_depth,
         output=args.output,
-        threads=args.threads,
     )
     f = _parse_function(family, config.f_spec)
-    _prewarm(
-        f,
-        range(config.partition_depth + 1, config.depth_range[1] + 1),
-        config.threads,
-    )
     table = measure.measure_table(
         f,
         partition_depth=config.partition_depth,
@@ -417,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--max-depth", type=int, default=12)
     p.add_argument("--min-depth", type=int)
-    p.add_argument("--threads", type=int, default=_default_threads())
     p.add_argument("--plot-data")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_converge)
@@ -428,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition-depth", type=int, default=2)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--max-depth", type=int, default=12)
-    p.add_argument("--threads", type=int, default=_default_threads())
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_measure)
 

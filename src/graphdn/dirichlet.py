@@ -24,7 +24,7 @@ import numpy as np
 from scipy.sparse import csc_matrix, csr_matrix, diags
 from scipy.sparse.linalg import LinearOperator, eigsh, onenormest, splu
 
-from .edge import EdgeSolution, edge_dn_block, edge_energy
+from .edge import SERIES_PRODUCT, EdgeSolution, edge_dn_block, edge_energy
 from .errors import DomainError, SingularInteriorError, ValidationError
 from .graph import GraphPoint, MetricGraph
 
@@ -92,7 +92,7 @@ class InteriorSystem:
     right-hand sides, including matrix-valued ones, concurrently.
     """
 
-    def __init__(self, g: MetricGraph, matrix: csr_matrix | None = None):
+    def __init__(self, g: MetricGraph):
         if not g.boundary:
             raise SingularInteriorError(
                 "graph has no boundary vertex; the Dirichlet problem is "
@@ -106,7 +106,7 @@ class InteriorSystem:
                 component=bad[0],
             )
         self.graph = g
-        self.matrix = assemble(g) if matrix is None else matrix
+        self.matrix = assemble(g)
         self.boundary = g.boundary_vertices
         self.interior = g.interior_vertices
         ii = np.asarray(self.interior, dtype=np.intp)
@@ -240,13 +240,21 @@ def _coerce_boundary_values(g: MetricGraph, data) -> np.ndarray:
                 f"no boundary value for vertex {min(missing)}",
                 element=("vertex", min(missing)),
             )
-        return np.array([float(data[v]) for v in bverts])
-    arr = np.asarray(data, dtype=float)
-    if arr.shape != (len(bverts),):
+        arr = np.array([float(data[v]) for v in bverts])
+    else:
+        arr = np.array(data, dtype=float)
+        if arr.shape != (len(bverts),):
+            raise ValidationError(
+                f"expected {len(bverts)} boundary values, got shape {arr.shape}"
+            )
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if len(bad):
+        v = bverts[bad[0]]
         raise ValidationError(
-            f"expected {len(bverts)} boundary values, got shape {arr.shape}"
+            f"non-finite boundary value {arr[bad[0]]} at vertex {v}",
+            element=("vertex", v),
         )
-    return arr.copy()
+    return arr
 
 
 def solve_dirichlet(
@@ -258,8 +266,8 @@ def solve_dirichlet(
     in sorted boundary-vertex order.  A prebuilt :class:`InteriorSystem`
     may be passed to reuse its factorization.
     """
-    sys_ = InteriorSystem(g) if system is None else system
     ub = _coerce_boundary_values(g, data)
+    sys_ = InteriorSystem(g) if system is None else system
 
     values = np.zeros(g.n_vertices)
     values[np.asarray(sys_.boundary, dtype=np.intp)] = ub
@@ -359,7 +367,7 @@ def _edge_potential_integral(s: EdgeSolution) -> float:
     kappa = math.sqrt(s.kappa2)
     z = kappa * s.length
     total = s.value_a + s.value_b
-    if z < 1e-6:
+    if z < SERIES_PRODUCT:
         return s.kappa2 * total * (s.length / 2.0) * (1.0 - z * z / 12.0)
     return kappa * total * math.tanh(0.5 * z)
 

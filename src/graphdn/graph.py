@@ -8,7 +8,7 @@ vertices are boundary vertices; vertices of higher degree may be marked as
 boundary as well, which models the relative boundary of a truncated subgraph
 of a larger ambient graph.
 
-Graphs are immutable after construction and safe to share between threads.
+Graphs are immutable after construction and safe to share between callers.
 Builders reject nonpositive lengths or weights, negative potentials, and
 disconnected graphs; loops and parallel edges are split at midpoints rather
 than rejected.

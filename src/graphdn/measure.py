@@ -18,8 +18,8 @@ of E, and its diagonal quadratic form is the solution energy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .dirichlet import DirichletSolution, solve_dirichlet
@@ -308,7 +308,6 @@ def combine(
     return SimpleBoundaryFunction(tuple(terms))
 
 
-@lru_cache(maxsize=16)
 def _solved_truncation(f: SimpleBoundaryFunction, depth: int) -> DirichletSolution:
     graph = generate_ab_tree(replace(f.family, depth=depth))
     return solve_dirichlet(graph, f.boundary_data(graph))
@@ -373,6 +372,11 @@ def _report(depths, values, tol) -> ConvergenceReport:
     )
 
 
+def _check_tolerance(tol: float) -> None:
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise DomainError(f"tolerance must be positive and finite, got {tol}")
+
+
 def dn_function(
     f: SimpleBoundaryFunction,
     e: ClopenSet,
@@ -386,8 +390,7 @@ def dn_function(
     at which both F and E resolve) through ``n_max`` and reports the value
     sequence.  Non-convergence is reported, not raised.
     """
-    if not tol > 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    _check_tolerance(tol)
     if n_max < 2:
         raise DomainError(f"n_max must be at least 2, got {n_max}")
     _check_same_family(f.family, e.family)
@@ -433,7 +436,12 @@ def measure_table(
     n_max: int,
     n_min: int | None = None,
 ) -> MeasureTable:
-    """Evaluate the flux functional of F on a full cylinder partition."""
+    """Evaluate the flux functional of F on a full cylinder partition.
+
+    Each truncation is solved once; the whole-boundary flux and every
+    cell's flux are read from that one solution.
+    """
+    _check_tolerance(tol)
     if partition_depth < 1:
         raise DomainError(f"partition depth must be >= 1, got {partition_depth}")
     family = f.family
@@ -456,14 +464,13 @@ def measure_table(
     depths = list(range(start, n_max + 1))
     whole = ClopenSet.whole_boundary(family)
     per_cell = {c: [] for c in cells}
-    whole_values = []
     additivity = 0.0
     for n in depths:
-        total = dn_at_depth(f, whole, n)
-        whole_values.append(total)
+        sol = _solved_truncation(f, n)
+        total = sol.flux_sum(whole.resolve(sol.graph))
         cell_sum = 0.0
         for c in cells:
-            v = dn_at_depth(f, c, n)
+            v = sol.flux_sum(c.resolve(sol.graph))
             per_cell[c].append(v)
             cell_sum += v
         additivity = max(additivity, abs(cell_sum - total))

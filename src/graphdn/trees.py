@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -104,7 +103,6 @@ def _edge_length(spec: AlphaBetaSpec, address: str) -> float:
     return length
 
 
-@lru_cache(maxsize=32)
 def generate_ab_tree(spec: AlphaBetaSpec) -> MetricGraph:
     """Build the depth-``spec.depth`` truncation as a metric graph.
 

@@ -1,3 +1,5 @@
+import pytest
+
 from graphdn.cli import main
 from graphdn.fileio import read_graph
 
@@ -108,6 +110,10 @@ def test_converge_exit_codes(tmp_path, capsys):
     assert code == 3
     assert "converged no" in out
 
+    code, _, err = run(capsys, *args, "--tol", "inf")
+    assert code == 2
+    assert "tolerance" in err
+
 
 def test_converge_plot_data(tmp_path, capsys):
     plot = tmp_path / "plot.dat"
@@ -186,17 +192,26 @@ def test_config_file_errors(tmp_path, capsys):
     assert "malformed config" in err
 
 
-def test_threads_env_default(monkeypatch, capsys):
-    monkeypatch.setenv("GRAPHDN_THREADS", "2")
-    code, out, _ = run(
-        capsys, "converge", "--alpha", "0.5", "--F", "cyl:a", "--E", "v0",
-        "--tol", "1e-2", "--max-depth", "8",
-    )
-    assert code == 0
-    monkeypatch.setenv("GRAPHDN_THREADS", "garbage")
-    from graphdn.cli import _default_threads
-
-    assert _default_threads() == 1
+@pytest.mark.parametrize(
+    "argv, token",
+    [
+        (["solve", "--alpha", "0.5", "--depth", "3", "--data", "foo=1"], "'foo'"),
+        (["solve", "--alpha", "0.5", "--depth", "3", "--data", "0=abc"], "'abc'"),
+        (["solve", "--alpha", "0.5", "--depth", "3", "--kappa2", "1,x",
+          "--data", "default=0"], "'x'"),
+        (["generate", "--alpha", "0.4", "--depth", "3",
+          "--shortcut", "2,3,x", "-o", "g.txt"], "'x'"),
+        (["converge", "--alpha", "0.5", "--F", "x*cyl:a", "--E", "v0"], "'x'"),
+        (["solve", "--alpha", "0.5", "--depth", "3",
+          "--data", "0=nan,default=0"], "nan"),
+    ],
+)
+def test_malformed_input_exits_2(argv, token, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and token in err
+    assert "Traceback" not in err
 
 
 def test_solve_requires_single_source(tmp_path, capsys):

@@ -77,6 +77,10 @@ class TestSolve:
             solve_dirichlet(star3(), {0: 1.0})
         with pytest.raises(ValidationError, match="non-boundary"):
             solve_dirichlet(star3(), {0: 1.0, 1: 0.0, 2: 0.0, 3: 0.5})
+        with pytest.raises(ValidationError, match="non-finite"):
+            solve_dirichlet(star3(), {0: 1.0, 1: float("nan"), 2: 0.0})
+        with pytest.raises(ValidationError, match="non-finite"):
+            solve_dirichlet(star3(), [0.0, float("inf"), 0.5])
 
     def test_no_boundary_is_singular(self):
         cycle = build_graph(

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from graphdn import measure
 from graphdn.dirichlet import current_balance, solve_dirichlet
 from graphdn.errors import DomainError, ValidationError
 from graphdn.measure import (
@@ -215,6 +216,10 @@ class TestDnFunction:
             dn_function(f, ClopenSet.cylinder(FAM5, "b"), tol=1e-6, n_max=2)
         with pytest.raises(DomainError, match="shallow"):
             dn_at_depth(f, ClopenSet.cylinder(FAM5, "b"), 2)
+        with pytest.raises(DomainError, match="tolerance"):
+            dn_function(f, ClopenSet.cylinder(FAM5, "b"), tol=math.inf, n_max=6)
+        with pytest.raises(DomainError, match="tolerance"):
+            measure_table(f, partition_depth=1, tol=math.nan, n_max=6)
 
 
 class TestSymmetry:
@@ -241,6 +246,23 @@ class TestSymmetry:
 
 
 class TestMeasureTable:
+    def test_one_solve_per_depth(self, monkeypatch):
+        generated, solved = [], []
+
+        def counting_generate(spec):
+            generated.append(spec.depth)
+            return generate_ab_tree(spec)
+
+        def counting_solve(graph, data):
+            solved.append(graph)
+            return solve_dirichlet(graph, data)
+
+        monkeypatch.setattr(measure, "generate_ab_tree", counting_generate)
+        monkeypatch.setattr(measure, "solve_dirichlet", counting_solve)
+        measure_table(indicator(FAM3, "a"), partition_depth=2, tol=1e-6, n_max=7)
+        assert generated == [3, 4, 5, 6, 7]
+        assert len(solved) == len(generated)
+
     def test_zero_function_gives_zero_cells(self):
         f = SimpleBoundaryFunction.indicator(ClopenSet.whole_boundary(FAM5))
         table = measure_table(f, partition_depth=2, tol=1e-8, n_max=8)

@@ -76,10 +76,6 @@ class TestGenerate:
         assert root_edge.kappa2 == 2.0
         assert all(e.kappa2 == 0.0 for e in g.edges[1:])
 
-    def test_generation_cached(self):
-        spec = AlphaBetaSpec(alpha=0.5, depth=4)
-        assert generate_ab_tree(spec) is generate_ab_tree(spec)
-
 
 class TestClosedForm:
     def test_zero_slope_constant(self):
