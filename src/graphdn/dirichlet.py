@@ -24,7 +24,7 @@ import numpy as np
 from scipy.sparse import csc_matrix, csr_matrix, diags
 from scipy.sparse.linalg import LinearOperator, eigsh, onenormest, splu
 
-from .edge import SERIES_PRODUCT, EdgeSolution, edge_dn_block, edge_energy
+from .edge import SERIES_PRODUCT, EdgeSolution, edge_dn_blocks, edge_energy
 from .errors import DomainError, SingularInteriorError, ValidationError
 from .graph import GraphPoint, MetricGraph
 
@@ -47,14 +47,29 @@ __all__ = [
 _DENSE_EIG_LIMIT = 1200
 
 
+def _edge_blocks(g: MetricGraph):
+    """Per edge, in edge order: endpoints ``a``, ``b`` and the block ``(diag, off)``."""
+    ends = np.array([(e.a, e.b) for e in g.edges], dtype=np.intp)
+    diag, off = edge_dn_blocks(
+        [e.length for e in g.edges], [e.kappa2 for e in g.edges]
+    )
+    return ends[:, 0], ends[:, 1], diag, off
+
+
+def _outward(g: MetricGraph, values: np.ndarray):
+    """Endpoint ids and outward edge derivatives, interleaved per edge (a, b)."""
+    a, b, diag, off = _edge_blocks(g)
+    va, vb = values[a], values[b]
+    ends = np.stack([a, b], axis=1).ravel()
+    return ends, np.stack([diag * va + off * vb, off * va + diag * vb], axis=1).ravel()
+
+
 def assemble(g: MetricGraph) -> csr_matrix:
     """Sparse symmetric vertex system: the sum of scattered edge blocks."""
-    rows, cols, vals = [], [], []
-    for e in g.edges:
-        block = edge_dn_block(e.length, e.kappa2)
-        rows += [e.a, e.b, e.a, e.b]
-        cols += [e.a, e.b, e.b, e.a]
-        vals += [block.h_aa, block.h_bb, block.h_ab, block.h_ba]
+    a, b, diag, off = _edge_blocks(g)
+    rows = np.stack([a, b, a, b], axis=1).ravel()
+    cols = np.stack([a, b, b, a], axis=1).ravel()
+    vals = np.stack([diag, diag, off, off], axis=1).ravel()
     n = g.n_vertices
     return csr_matrix((vals, (rows, cols)), shape=(n, n))
 
@@ -213,14 +228,9 @@ class DirichletSolution:
         natural yardstick for the cancellation the condition demands.
         """
         g = self.graph
-        sums = np.zeros(g.n_vertices)
-        scales = np.zeros(g.n_vertices)
-        for e, s in zip(g.edges, self.edge_solutions):
-            da, db = s.outward_a(), s.outward_b()
-            sums[e.a] += da
-            sums[e.b] += db
-            scales[e.a] += abs(da)
-            scales[e.b] += abs(db)
+        ends, outward = _outward(g, self.values)
+        sums = np.bincount(ends, outward, minlength=g.n_vertices)
+        scales = np.bincount(ends, np.abs(outward), minlength=g.n_vertices)
         idx = np.asarray(g.interior_vertices, dtype=np.intp)
         return np.abs(sums[idx]), scales[idx]
 
@@ -275,25 +285,20 @@ def solve_dirichlet(
         ui = sys_.solve(sys_.rhs_for(ub))
         values[np.asarray(sys_.interior, dtype=np.intp)] = ui
 
-    solutions = []
-    flux = np.zeros(g.n_vertices)
-    energy = 0.0
-    for e in g.edges:
-        block = edge_dn_block(e.length, e.kappa2)
-        va, vb = float(values[e.a]), float(values[e.b])
-        s = EdgeSolution(
-            length=e.length,
-            kappa2=e.kappa2,
-            value_a=va,
-            value_b=vb,
-            c0=va,
-            c1=-(block.h_aa * va + block.h_ab * vb),
+    # Outward derivatives from the closed form, not matrix residuals.
+    ends, outward = _outward(g, values)
+    flux = np.bincount(ends, outward, minlength=g.n_vertices)
+    u, c1 = values.tolist(), (-outward[::2]).tolist()
+    solutions = tuple(
+        EdgeSolution(
+            length=e.length, kappa2=e.kappa2, value_a=u[e.a], value_b=u[e.b],
+            c0=u[e.a], c1=c,
         )
-        solutions.append(s)
+        for e, c in zip(g.edges, c1)
+    )
+    energy = 0.0
+    for s in solutions:
         energy += edge_energy(s)
-        # Outward derivatives from the closed form, not matrix residuals.
-        flux[e.a] += block.h_aa * va + block.h_ab * vb
-        flux[e.b] += block.h_ba * va + block.h_bb * vb
 
     bidx = np.asarray(sys_.boundary, dtype=np.intp)
     values.flags.writeable = False
@@ -305,7 +310,7 @@ def solve_dirichlet(
         values=values,
         boundary_values=ub,
         boundary_derivatives=bder,
-        edge_solutions=tuple(solutions),
+        edge_solutions=solutions,
         energy=float(energy),
     )
 
@@ -435,9 +440,10 @@ def max_principle_check(
     """Check that interior values stay strictly between the boundary extremes.
 
     Inspects every interior vertex value and the single interior extremum of
-    every hyperbolic edge solution (linear solutions are monotone).  Constant
-    boundary data is skipped, since the open interval is then empty.
-    Report-only: violations are returned, never raised.
+    every hyperbolic edge solution (linear solutions are monotone); a
+    non-finite value or edge solution is a violation.  Constant boundary
+    data is skipped, since the open interval is then empty.  Report-only:
+    violations are returned, never raised.
     """
     lo = float(sol.boundary_values.min())
     hi = float(sol.boundary_values.max())
@@ -451,22 +457,28 @@ def max_principle_check(
             skipped_constant=True,
         )
     tol = slack * max(1.0, abs(lo), abs(hi))
+
+    def outside(value: float) -> bool:
+        # Written as a negation so that NaN counts as outside.
+        return not (lo - tol < value < hi + tol)
+
     violations = []
     n_v = 0
     for v in sol.graph.interior_vertices:
         n_v += 1
         value = float(sol.values[v])
-        if value <= lo - tol or value >= hi + tol:
+        if outside(value):
             violations.append(MaxPrincipleViolation("vertex", v, value))
     n_e = 0
     for i, s in enumerate(sol.edge_solutions):
         n_e += 1
-        extremum = s.interior_extremum()
-        if extremum is None:
+        if not math.isfinite(s.c0 + s.c1):
+            # A non-finite solution has no meaningful extremum to locate.
+            violations.append(MaxPrincipleViolation("edge", i, s.c0 + s.c1))
             continue
-        _, value = extremum
-        if value <= lo - tol or value >= hi + tol:
-            violations.append(MaxPrincipleViolation("edge", i, value))
+        extremum = s.interior_extremum()
+        if extremum is not None and outside(extremum[1]):
+            violations.append(MaxPrincipleViolation("edge", i, extremum[1]))
     return MaxPrincipleReport(
         violations=tuple(violations),
         lower=lo,

@@ -19,12 +19,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 
 __all__ = [
     "EdgeDNBlock",
     "EdgeSolution",
     "edge_dn_block",
+    "edge_dn_blocks",
     "solve_edge",
     "edge_energy",
 ]
@@ -52,31 +55,51 @@ class EdgeDNBlock:
         return ((self.h_aa, self.h_ab), (self.h_ba, self.h_bb))
 
 
-def edge_dn_block(length: float, kappa2: float) -> EdgeDNBlock:
-    """Closed-form flux block of one edge.
+def edge_dn_blocks(lengths, kappa2) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form flux blocks of many edges: ``(diag, off)`` arrays.
 
-    Three branches on ``z = sqrt(kappa2) * length``: a Taylor expansion for
-    tiny ``z`` (continuous with the zero-potential block), the hyperbolic
-    formula in the middle, and the flat asymptote for huge ``z``.
+    ``lengths`` and ``kappa2`` broadcast against each other.  Three branches
+    on ``z = sqrt(kappa2) * length``: a Taylor expansion for tiny ``z``
+    (continuous with the zero-potential block), the hyperbolic formula in
+    the middle, and the flat asymptote for huge ``z``.
     """
-    if not (length > 0.0 and math.isfinite(length)):
-        raise DomainError(f"edge length must be positive, got {length}")
-    if not (kappa2 >= 0.0 and math.isfinite(kappa2)):
-        raise DomainError(f"potential must be nonnegative, got {kappa2}")
+    lengths, kappa2 = np.broadcast_arrays(
+        np.asarray(lengths, dtype=float), np.asarray(kappa2, dtype=float)
+    )
+    bad = ~((lengths > 0.0) & np.isfinite(lengths))
+    if bad.any():
+        raise DomainError(f"edge length must be positive, got {lengths[bad].flat[0]}")
+    bad = ~((kappa2 >= 0.0) & np.isfinite(kappa2))
+    if bad.any():
+        raise DomainError(f"potential must be nonnegative, got {kappa2[bad].flat[0]}")
 
-    kappa = math.sqrt(kappa2)
-    z = kappa * length
-    if z < SERIES_PRODUCT:
-        z2 = z * z
-        diag = (1.0 + z2 / 3.0 - z2 * z2 / 45.0) / length
-        off = -(1.0 - z2 / 6.0 + 7.0 * z2 * z2 / 360.0) / length
-    elif z > ASYMPTOTIC_PRODUCT:
-        diag = kappa
-        off = -2.0 * kappa * math.exp(-z)
-    else:
-        coth, csch = _coth_csch(z)
-        diag = kappa * coth
-        off = -kappa * csch
+    kappa = np.sqrt(kappa2)
+    z = kappa * lengths
+    diag = np.empty(z.shape)
+    off = np.empty(z.shape)
+    series = z < SERIES_PRODUCT
+    flat = z > ASYMPTOTIC_PRODUCT
+    middle = ~(series | flat)
+    if series.any():
+        z2, length = z[series] * z[series], lengths[series]
+        diag[series] = (1.0 + z2 / 3.0 - z2 * z2 / 45.0) / length
+        off[series] = -(1.0 - z2 / 6.0 + 7.0 * z2 * z2 / 360.0) / length
+    if flat.any():
+        diag[flat] = kappa[flat]
+        off[flat] = -2.0 * kappa[flat] * np.exp(-z[flat])
+    if middle.any():
+        k, zm = kappa[middle], z[middle]
+        # coth z = (2 + E) / (-E), csch z = 2 exp(-z) / (-E), E = expm1(-2z) < 0.
+        em = np.expm1(-2.0 * zm)
+        diag[middle] = k * (-(2.0 + em) / em)
+        off[middle] = -k * (-2.0 * np.exp(-zm) / em)
+    return diag, off
+
+
+def edge_dn_block(length: float, kappa2: float) -> EdgeDNBlock:
+    """Closed-form flux block of one edge; see :func:`edge_dn_blocks`."""
+    diag, off = edge_dn_blocks(length, kappa2)
+    diag, off = float(diag), float(off)
     return EdgeDNBlock(h_aa=diag, h_ab=off, h_ba=off, h_bb=diag)
 
 
@@ -131,15 +154,6 @@ class EdgeSolution:
             / denom
         )
         return -self.value_a * v_a + self.value_b * v_b
-
-    def outward_a(self) -> float:
-        """Outward derivative at endpoint a (away from the edge interior)."""
-        block = edge_dn_block(self.length, self.kappa2)
-        return block.h_aa * self.value_a + block.h_ab * self.value_b
-
-    def outward_b(self) -> float:
-        block = edge_dn_block(self.length, self.kappa2)
-        return block.h_ba * self.value_a + block.h_bb * self.value_b
 
     def interior_extremum(self) -> tuple[float, float] | None:
         """Location and value of the single interior critical point, if any.

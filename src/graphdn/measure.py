@@ -9,7 +9,9 @@ functional is approximated by exhaustion: solve the Dirichlet problem on
 the depth-n truncation with boundary data read off from F, sum the outward
 boundary derivatives over the vertices whose cells lie in E, and track the
 sequence over n.  Convergence of the sequence is reported as data, never
-raised.
+raised.  Truncations are solved by the level sweep of :mod:`graphdn.trees`
+on per-level arrays, where a cylinder is a contiguous run of leaves; no
+truncation is built as a metric graph.
 
 Finite truncations satisfy the structural identities exactly up to solver
 error: the functional is symmetric in (F-set, E), additive over partitions
@@ -20,15 +22,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .dirichlet import DirichletSolution, solve_dirichlet
+import numpy as np
+
+from .edge import edge_dn_blocks
 from .errors import DomainError, ValidationError
 from .trees import (
     ADDRESS_ALPHABET,
     AlphaBetaSpec,
-    cylinder_leaves,
-    generate_ab_tree,
+    LevelSolution,
+    level_lengths,
+    level_sweep,
 )
 
 __all__ = [
@@ -47,6 +52,14 @@ __all__ = [
 # Convergence is declared once this many trailing first differences sit
 # below the tolerance.  Tunable in one place.
 CONSECUTIVE_BELOW_TOL = 3
+
+
+def _addresses(depth: int) -> list[str]:
+    """All addresses of this length, in address order."""
+    out = [""]
+    for _ in range(depth):
+        out = [a + ch for a in out for ch in ADDRESS_ALPHABET]
+    return out
 
 
 def _validate_prefixes(prefixes: Iterable[str]) -> list[str]:
@@ -184,13 +197,36 @@ class ClopenSet:
         return max(2, longest + 1)
 
     def resolve(self, graph) -> tuple[int, ...]:
-        """Truncation boundary vertices carrying this set's cells."""
-        verts: set[int] = set()
+        """Boundary vertices of a truncation graph carrying this set's cells.
+
+        A leaf carries the set when its address and a set prefix extend one
+        another; the root boundary vertex when ``include_root`` is set.
+        """
+        if graph.meta is None:
+            raise DomainError("graph carries no address metadata")
+        verts = []
+        has_root = False
+        for v in graph.boundary_vertices:
+            m = graph.meta[v]
+            if m is None:
+                continue
+            if m.address is None:
+                has_root = True
+                if self.include_root:
+                    verts.append(v)
+            elif any(m.address.startswith(p) or p.startswith(m.address)
+                     for p in self.prefixes):
+                verts.append(v)
+        if self.include_root and not has_root:
+            raise DomainError("graph has no root boundary vertex")
+        return tuple(verts)
+
+    def flux(self, sol: LevelSolution) -> float:
+        """Total outward boundary derivative of a level solution over the set."""
+        total = sol.root_flux if self.include_root else 0.0
         for p in self.prefixes:
-            verts.update(cylinder_leaves(graph, p))
-        if self.include_root:
-            verts.update(cylinder_leaves(graph, "", include_root_vertex=True)[:1])
-        return tuple(sorted(verts))
+            total += sol.cylinder_flux(p)
+        return float(total)
 
     def label(self) -> str:
         parts = [f"@{p}" for p in self.prefixes]
@@ -242,6 +278,11 @@ class SimpleBoundaryFunction:
     def min_truncation_depth(self) -> int:
         return max(s.min_truncation_depth for _, s in self.terms)
 
+    @property
+    def cell_depth(self) -> int:
+        """Length of the longest prefix: F is constant on cells this deep."""
+        return max((len(p) for _, s in self.terms for p in s.prefixes), default=0)
+
     def value_at_cell(self, address: str) -> float:
         return sum(c for c, s in self.terms if s.contains_cell(address))
 
@@ -274,19 +315,9 @@ def combine(
     family = pairs[0][1].family
     for _, f in pairs[1:]:
         _check_same_family(family, f.family)
-    depth = max(
-        (len(p) for _, f in pairs for _, s in f.terms for p in s.prefixes),
-        default=0,
-    )
-
-    def cells(k: int) -> list[str]:
-        out = [""]
-        for _ in range(k):
-            out = [c + ch for c in out for ch in ADDRESS_ALPHABET]
-        return out
-
+    depth = max(f.cell_depth for _, f in pairs)
     by_value: dict[float, list[str]] = {}
-    for address in cells(depth):
+    for address in _addresses(depth):
         value = sum(a * f.value_at_cell(address) for a, f in pairs)
         if value != 0.0:
             by_value.setdefault(value, []).append(address)
@@ -308,9 +339,25 @@ def combine(
     return SimpleBoundaryFunction(tuple(terms))
 
 
-def _solved_truncation(f: SimpleBoundaryFunction, depth: int) -> DirichletSolution:
-    graph = generate_ab_tree(replace(f.family, depth=depth))
-    return solve_dirichlet(graph, f.boundary_data(graph))
+def _truncations(
+    f: SimpleBoundaryFunction, depths: Sequence[int]
+) -> Iterator[LevelSolution]:
+    """One level sweep per depth, with the leaves carrying F's cell values.
+
+    ``depths`` ascend.  The level lengths and edge blocks are built once,
+    for the deepest truncation, and shared by every depth; a depth beyond
+    the size ceiling is refused before the first sweep.
+    """
+    family = f.family
+    lengths = level_lengths(replace(family, depth=depths[-1]))
+    kappa2 = [family.kappa2_at_level(k + 1) for k in range(len(lengths))]
+    blocks = [edge_dn_blocks(l, q) for l, q in zip(lengths, kappa2)]
+    m = f.cell_depth
+    cells = np.array([f.value_at_cell(a) for a in _addresses(m)])
+    root = f.root_value()
+    for n in depths:
+        leaves = np.repeat(cells, 2 ** (n - 1 - m))
+        yield level_sweep(blocks[:n], kappa2[:n], leaves, root)
 
 
 def dn_at_depth(f: SimpleBoundaryFunction, e: ClopenSet, depth: int) -> float:
@@ -321,8 +368,8 @@ def dn_at_depth(f: SimpleBoundaryFunction, e: ClopenSet, depth: int) -> float:
         raise DomainError(
             f"depth {depth} too shallow; these sets need depth >= {needed}"
         )
-    sol = _solved_truncation(f, depth)
-    return sol.flux_sum(e.resolve(sol.graph))
+    (sol,) = _truncations(f, [depth])
+    return e.flux(sol)
 
 
 @dataclass(frozen=True)
@@ -401,8 +448,8 @@ def dn_function(
     if n_max < start:
         raise DomainError(f"n_max {n_max} below the starting depth {start}")
     depths = range(start, n_max + 1)
-    values = [dn_at_depth(f, e, n) for n in depths]
-    return _report(list(depths), values, tol)
+    values = [e.flux(sol) for sol in _truncations(f, depths)]
+    return _report(depths, values, tol)
 
 
 @dataclass(frozen=True)
@@ -445,10 +492,7 @@ def measure_table(
     if partition_depth < 1:
         raise DomainError(f"partition depth must be >= 1, got {partition_depth}")
     family = f.family
-    addresses = [""]
-    for _ in range(partition_depth):
-        addresses = [a + ch for a in addresses for ch in ADDRESS_ALPHABET]
-    cells = [ClopenSet.cylinder(family, a) for a in addresses]
+    cells = [ClopenSet.cylinder(family, a) for a in _addresses(partition_depth)]
     cells.append(ClopenSet.root_vertex(family))
 
     lowest = max(
@@ -461,16 +505,15 @@ def measure_table(
     if n_max < start:
         raise DomainError(f"n_max {n_max} below the starting depth {start}")
 
-    depths = list(range(start, n_max + 1))
+    depths = range(start, n_max + 1)
     whole = ClopenSet.whole_boundary(family)
     per_cell = {c: [] for c in cells}
     additivity = 0.0
-    for n in depths:
-        sol = _solved_truncation(f, n)
-        total = sol.flux_sum(whole.resolve(sol.graph))
+    for sol in _truncations(f, depths):
+        total = whole.flux(sol)
         cell_sum = 0.0
         for c in cells:
-            v = sol.flux_sum(c.resolve(sol.graph))
+            v = c.flux(sol)
             per_cell[c].append(v)
             cell_sum += v
         additivity = max(additivity, abs(cell_sum - total))
@@ -508,5 +551,5 @@ def quadratic_form(f: SimpleBoundaryFunction, depth: int) -> float:
         raise DomainError(
             f"depth {depth} too shallow; F needs >= {f.min_truncation_depth}"
         )
-    sol = _solved_truncation(f, depth)
-    return float(sol.boundary_values @ sol.boundary_derivatives)
+    (sol,) = _truncations(f, [depth])
+    return float(sol.values[0][0] * sol.root_flux + sol.values[-1] @ sol.leaf_flux)

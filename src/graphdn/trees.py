@@ -26,6 +26,12 @@ from .graph import Edge, MetricGraph, VertexMeta, build_graph, geodesic_distance
 
 __all__ = [
     "AlphaBetaSpec",
+    "MAX_GRAPH_EDGES",
+    "MAX_SWEEP_EDGES",
+    "level_lengths",
+    "LevelSolution",
+    "level_sweep",
+    "cylinder_slice",
     "generate_ab_tree",
     "HarmonicClosedForm",
     "closed_form_harmonic",
@@ -37,6 +43,17 @@ __all__ = [
 
 _MIN_EDGE_LENGTH = 1e-300
 ADDRESS_ALPHABET = ("a", "b")
+
+# Size ceilings, in edges, checked before anything is allocated.  Peak RSS
+# above the import baseline, measured for one alpha = 0.3 call on a 7 GB,
+# 2-core x86-64 VM (CPython 3.11, numpy 2.4): generate_ab_tree took 21 MB at
+# depth 15 and 87 MB at depth 17 (about 0.69 KB per edge for the Edge and
+# VertexMeta objects, addresses and build_graph's lists); a level sweep took
+# 56 MB at depth 20 and 227 MB at depth 22 (about 57 B per edge).  Each
+# ceiling keeps one call under about 1 GB: depth 20 (0.7 GB predicted) for
+# the graph, depth 24 (0.94 GB peak, measured) for the sweep.
+MAX_GRAPH_EDGES = 2**20 - 1
+MAX_SWEEP_EDGES = 2**24 - 1
 
 
 @dataclass(frozen=True)
@@ -94,23 +111,15 @@ class AlphaBetaSpec:
         )
 
 
-def _edge_length(spec: AlphaBetaSpec, address: str) -> float:
-    # Length of the edge entering the vertex at this address ("" is the
-    # first branching vertex, reached by the root edge).
-    length = spec.root_length
-    for ch in address:
-        length *= spec.alpha if ch == "a" else spec.beta
-    return length
-
-
-def generate_ab_tree(spec: AlphaBetaSpec) -> MetricGraph:
-    """Build the depth-``spec.depth`` truncation as a metric graph.
-
-    Vertex 0 is the root boundary vertex, vertex 1 the first branching
-    vertex; deeper vertices appear level by level in address order.  The
-    boundary is the root vertex plus the deepest generation; metadata
-    carries each vertex's level and address.
-    """
+def _check_depth(spec: AlphaBetaSpec, max_edges: int, what: str) -> None:
+    # A depth-n truncation has 2**n - 1 edges; compare depths, so that a
+    # huge depth is refused without computing its edge count.
+    largest = (max_edges + 1).bit_length() - 1
+    if spec.depth > largest:
+        raise ValidationError(
+            f"depth {spec.depth} exceeds the {what} limit of {max_edges} edges "
+            f"(largest depth {largest})"
+        )
     shortest = spec.root_length * min(spec.alpha, spec.beta) ** (spec.depth - 1)
     if shortest < _MIN_EDGE_LENGTH:
         raise ValidationError(
@@ -118,29 +127,143 @@ def generate_ab_tree(spec: AlphaBetaSpec) -> MetricGraph:
             f"({shortest:.3e} < {_MIN_EDGE_LENGTH:.0e})"
         )
 
+
+def level_lengths(spec: AlphaBetaSpec) -> list[np.ndarray]:
+    """Edge lengths of the truncation, one array per level.
+
+    Entry ``k`` holds the level-``k + 1`` edges in address order (entry 0
+    is the root edge); each level is the outer product of the one above
+    with ``(alpha, beta)``.  Refuses depths beyond ``MAX_SWEEP_EDGES``.
+    """
+    _check_depth(spec, MAX_SWEEP_EDGES, "level-array")
+    levels = [np.array([spec.root_length])]
+    split = np.array([spec.alpha, spec.beta])
+    for _ in range(spec.depth - 1):
+        levels.append(np.outer(levels[-1], split).ravel())
+    return levels
+
+
+def generate_ab_tree(spec: AlphaBetaSpec) -> MetricGraph:
+    """Build the depth-``spec.depth`` truncation as a metric graph.
+
+    Vertex 0 is the root boundary vertex, vertex 1 the first branching
+    vertex; deeper vertices appear level by level in address order, so the
+    parent of vertex ``v >= 2`` is ``v // 2``.  The boundary is the root
+    vertex plus the deepest generation; metadata carries each vertex's
+    level and address.  Refuses depths beyond ``MAX_GRAPH_EDGES``.
+    """
+    _check_depth(spec, MAX_GRAPH_EDGES, "metric-graph")
+    lengths = level_lengths(spec)
+
     edges = [Edge(0, 1, spec.root_length, spec.weight_ratio, spec.kappa2_at_level(1))]
     meta = {0: VertexMeta(level=0, address=None), 1: VertexMeta(level=1, address="")}
-    ids = {"": 1}
-    next_id = 2
-    frontier = [""]
+    addresses = [""]
     for level in range(2, spec.depth + 1):
         weight = spec.weight_ratio**level
         kappa2 = spec.kappa2_at_level(level)
-        new_frontier = []
-        for parent in frontier:
-            for ch in ADDRESS_ALPHABET:
-                address = parent + ch
-                vid = next_id
-                next_id += 1
-                ids[address] = vid
-                meta[vid] = VertexMeta(level=level, address=address)
-                edges.append(
-                    Edge(ids[parent], vid, _edge_length(spec, address), weight, kappa2)
-                )
-                new_frontier.append(address)
-        frontier = new_frontier
-    leaves = {ids[a] for a in frontier}
-    return build_graph(edges, boundary={0} | leaves, meta=meta)
+        addresses = [p + ch for p in addresses for ch in ADDRESS_ALPHABET]
+        first = 2 ** (level - 1)
+        for i, (address, length) in enumerate(
+            zip(addresses, lengths[level - 1].tolist())
+        ):
+            vid = first + i
+            meta[vid] = VertexMeta(level=level, address=address)
+            edges.append(Edge(vid // 2, vid, length, weight, kappa2))
+    leaves = range(2 ** (spec.depth - 1), 2**spec.depth)
+    return build_graph(edges, boundary={0, *leaves}, meta=meta)
+
+
+@dataclass(frozen=True)
+class LevelSolution:
+    """A truncation's Dirichlet solution, held per level.
+
+    ``values[k]`` are the vertex values at level ``k`` in address order:
+    level 0 is the root boundary vertex and the last level the leaves, so
+    the concatenation follows :func:`generate_ab_tree`'s vertex ids.
+    ``leaf_flux`` and ``root_flux`` are the outward boundary derivatives.
+    """
+
+    values: tuple[np.ndarray, ...]
+    leaf_flux: np.ndarray
+    root_flux: float
+
+    @property
+    def depth(self) -> int:
+        return len(self.values) - 1
+
+    def cylinder_flux(self, prefix: str) -> float:
+        """Total outward derivative over the leaves of a prefix cylinder."""
+        return float(self.leaf_flux[cylinder_slice(prefix, self.depth)].sum())
+
+
+def level_sweep(
+    blocks: list[tuple[np.ndarray, np.ndarray]],
+    kappa2: list[float],
+    leaf_values: np.ndarray,
+    root_value: float,
+) -> LevelSolution:
+    """Solve a truncation by eliminating the tree level by level.
+
+    ``blocks[k]`` is the level-``k + 1`` edge block ``(diag, off)`` from
+    :func:`graphdn.edge.edge_dn_blocks` over that level's lengths (as from
+    :func:`level_lengths`) and potential ``kappa2[k]``; the Dirichlet data
+    are ``leaf_values`` in address order and ``root_value``.  This is Kron
+    reduction on a tree, O(edges) and with no matrix.  Leaf to root, the
+    subtree hanging from each edge draws the outward flux ``Y u + J`` at
+    the edge's upper vertex ``u``; with ``d``, ``o`` the edge block entries
+    and ``Y_v``, ``J_v`` the sums over the lower vertex's children,
+
+        Y = (kappa2 + d Y_v) / (d + Y_v),    J = -o J_v / (d + Y_v),
+
+    which uses ``d**2 - o**2 = kappa2`` to avoid cancellation.  Root to
+    leaf, Kirchhoff at each interior vertex gives
+    ``u_v = -(o u_parent + J_v) / (d + Y_v)``; boundary fluxes come from
+    the edge closed forms.
+    """
+    leaf_values = np.asarray(leaf_values, dtype=float)
+    if not math.isfinite(root_value):
+        raise ValidationError(f"non-finite boundary value {root_value} at the root")
+    bad = np.flatnonzero(~np.isfinite(leaf_values))
+    if len(bad):
+        raise ValidationError(
+            f"non-finite boundary value {leaf_values[bad[0]]} at leaf {bad[0]}"
+        )
+    d, o = blocks[-1]
+    y, j = d, o * leaf_values
+    pivots = []
+    for (d, o), q in zip(reversed(blocks[:-1]), reversed(kappa2[:-1])):
+        y_v = y[0::2] + y[1::2]
+        j_v = j[0::2] + j[1::2]
+        pivot = d + y_v
+        pivots.append((pivot, j_v))
+        y, j = (q + d * y_v) / pivot, -o * j_v / pivot
+    pivots.reverse()
+
+    values = [np.array([float(root_value)])]
+    for (d, o), (pivot, j_v) in zip(blocks, pivots):
+        above = np.repeat(values[-1], len(d) // len(values[-1]))
+        values.append(-(o * above + j_v) / pivot)
+    d, o = blocks[-1]
+    above = np.repeat(values[-1], len(d) // len(values[-1]))
+    leaf_flux = d * leaf_values + o * above
+    values.append(leaf_values)
+    d, o = blocks[0]
+    root_flux = float(d[0] * values[0][0] + o[0] * values[1][0])
+    return LevelSolution(values=tuple(values), leaf_flux=leaf_flux, root_flux=root_flux)
+
+
+def cylinder_slice(prefix: str, depth: int) -> slice:
+    """Leaf positions (address order) of a prefix cylinder at this depth.
+
+    The depth-``depth`` leaves are the ``2**(depth - 1)`` addresses of
+    length ``depth - 1``; those extending ``prefix`` are contiguous.
+    """
+    _validate_prefix(prefix)
+    shift = depth - 1 - len(prefix)
+    if shift < 0:
+        raise DomainError(f"prefix {prefix!r} is deeper than the depth-{depth} leaves")
+    index = int(prefix.replace("a", "0").replace("b", "1") or "0", 2)
+    return slice(index << shift, (index + 1) << shift)
 
 
 def address_index(g: MetricGraph) -> dict[str, int]:

@@ -1,5 +1,6 @@
 import pytest
 
+from graphdn import measure, trees
 from graphdn.cli import main
 from graphdn.fileio import read_graph
 
@@ -204,6 +205,8 @@ def test_config_file_errors(tmp_path, capsys):
         (["converge", "--alpha", "0.5", "--F", "x*cyl:a", "--E", "v0"], "'x'"),
         (["solve", "--alpha", "0.5", "--depth", "3",
           "--data", "0=nan,default=0"], "nan"),
+        (["converge", "--alpha", "0.5", "--F", "nan*cyl:a", "--E", "v0"], "nan"),
+        (["measure", "--alpha", "0.5", "--F", "inf*cyl:a"], "non-finite"),
     ],
 )
 def test_malformed_input_exits_2(argv, token, tmp_path, monkeypatch, capsys):
@@ -212,6 +215,37 @@ def test_malformed_input_exits_2(argv, token, tmp_path, monkeypatch, capsys):
     assert code == 2
     assert err.startswith("error:") and token in err
     assert "Traceback" not in err
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("work started past a size ceiling")
+
+
+def test_generate_refuses_depth_past_ceiling(tmp_path, monkeypatch, capsys):
+    depth = trees.MAX_GRAPH_EDGES.bit_length() + 1
+    monkeypatch.setattr(trees, "Edge", _refuse)
+    out_file = tmp_path / "g.txt"
+    code, _, err = run(
+        capsys, "generate", "--alpha", "0.5", "--depth", str(depth),
+        "-o", str(out_file),
+    )
+    assert code == 2
+    assert err.startswith("error:") and str(trees.MAX_GRAPH_EDGES) in err
+    assert "Traceback" not in err
+    assert not out_file.exists()
+
+
+def test_converge_refuses_depth_past_ceiling(monkeypatch, capsys):
+    depth = trees.MAX_SWEEP_EDGES.bit_length() + 1
+    monkeypatch.setattr(measure, "level_sweep", _refuse)
+    code, out, err = run(
+        capsys, "converge", "--alpha", "0.5", "--F", "cyl:a", "--E", "cyl:b",
+        "--max-depth", str(depth),
+    )
+    assert code == 2
+    assert err.startswith("error:") and str(trees.MAX_SWEEP_EDGES) in err
+    assert "Traceback" not in err
+    assert out == ""
 
 
 def test_solve_requires_single_source(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -211,6 +212,25 @@ class TestMaxPrinciple:
             report = max_principle_check(solve_dirichlet(g, data))
             assert report.passed
             assert report.checked_edges == len(g.edges)
+
+    def test_non_finite_values_are_violations(self):
+        spec = AlphaBetaSpec(alpha=0.35, depth=4, kappa2_per_level=(1.0,))
+        g = generate_ab_tree(spec)
+        data = {v: float(v % 2) for v in g.boundary_vertices}
+        sol = solve_dirichlet(g, data)
+        assert max_principle_check(sol).passed
+        values = sol.values.copy()
+        values[g.interior_vertices[0]] = math.nan
+        report = max_principle_check(dataclasses.replace(sol, values=values))
+        assert not report.passed
+        assert [(v.kind, v.index) for v in report.violations] == [
+            ("vertex", g.interior_vertices[0])
+        ]
+        edges = list(sol.edge_solutions)
+        edges[0] = dataclasses.replace(edges[0], c1=math.nan)
+        broken = dataclasses.replace(sol, edge_solutions=tuple(edges))
+        report = max_principle_check(broken)
+        assert [(v.kind, v.index) for v in report.violations] == [("edge", 0)]
 
 
 class TestLowerBound:

@@ -16,7 +16,7 @@ from graphdn.measure import (
     quadratic_form,
     symmetry_residual,
 )
-from graphdn.trees import AlphaBetaSpec, generate_ab_tree
+from graphdn.trees import AlphaBetaSpec, generate_ab_tree, level_sweep
 
 from oracles import resistance_flux
 
@@ -247,21 +247,15 @@ class TestSymmetry:
 
 class TestMeasureTable:
     def test_one_solve_per_depth(self, monkeypatch):
-        generated, solved = [], []
+        swept = []
 
-        def counting_generate(spec):
-            generated.append(spec.depth)
-            return generate_ab_tree(spec)
+        def counting_sweep(blocks, kappa2, leaf_values, root_value):
+            swept.append(len(blocks))
+            return level_sweep(blocks, kappa2, leaf_values, root_value)
 
-        def counting_solve(graph, data):
-            solved.append(graph)
-            return solve_dirichlet(graph, data)
-
-        monkeypatch.setattr(measure, "generate_ab_tree", counting_generate)
-        monkeypatch.setattr(measure, "solve_dirichlet", counting_solve)
+        monkeypatch.setattr(measure, "level_sweep", counting_sweep)
         measure_table(indicator(FAM3, "a"), partition_depth=2, tol=1e-6, n_max=7)
-        assert generated == [3, 4, 5, 6, 7]
-        assert len(solved) == len(generated)
+        assert swept == [3, 4, 5, 6, 7]
 
     def test_zero_function_gives_zero_cells(self):
         f = SimpleBoundaryFunction.indicator(ClopenSet.whole_boundary(FAM5))

@@ -1,19 +1,30 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from graphdn import trees
 from graphdn.dirichlet import solve_dirichlet
+from graphdn.edge import edge_dn_blocks
 from graphdn.errors import DomainError, ValidationError
 from graphdn.graph import geodesic_distance
+from graphdn.measure import ClopenSet, SimpleBoundaryFunction, dn_at_depth
 from graphdn.trees import (
     AlphaBetaSpec,
     add_shortcut_edges,
     address_index,
     closed_form_harmonic,
     cylinder_leaves,
+    cylinder_slice,
     generate_ab_tree,
+    level_lengths,
+    level_sweep,
 )
+
+from oracles import dense_solve
 
 
 class TestSpecValidation:
@@ -227,3 +238,115 @@ class TestCylinderLeaves:
         g = generate_ab_tree(AlphaBetaSpec(alpha=0.5, depth=3))
         with pytest.raises(DomainError, match="symbol"):
             cylinder_leaves(g, "ax")
+
+
+def _leaves(g):
+    return [v for v in g.boundary_vertices if v != 0]
+
+
+class TestLevelArrays:
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.77])
+    def test_lengths_match_generated_edges(self, alpha):
+        spec = AlphaBetaSpec(alpha=alpha, depth=9)
+        g = generate_ab_tree(spec)
+        flat = np.concatenate(level_lengths(spec))
+        assert flat.tolist() == [e.length for e in g.edges]
+
+    def test_cylinder_slice_matches_cylinder_leaves(self):
+        depth = 5
+        g = generate_ab_tree(AlphaBetaSpec(alpha=0.4, depth=depth))
+        leaves = _leaves(g)
+        for prefix in ("", "a", "b", "ab", "bba", "abab"):
+            assert leaves[cylinder_slice(prefix, depth)] == list(
+                cylinder_leaves(g, prefix)
+            )
+        with pytest.raises(DomainError, match="deeper"):
+            cylinder_slice("ababa", depth)
+
+    def test_ceilings_name_the_limit(self):
+        too_deep = trees.MAX_SWEEP_EDGES.bit_length() + 1
+        with pytest.raises(ValidationError, match=str(trees.MAX_SWEEP_EDGES)):
+            level_lengths(AlphaBetaSpec(alpha=0.5, depth=too_deep))
+        too_deep = trees.MAX_GRAPH_EDGES.bit_length() + 1
+        with pytest.raises(ValidationError, match=str(trees.MAX_GRAPH_EDGES)):
+            generate_ab_tree(AlphaBetaSpec(alpha=0.5, depth=too_deep))
+        with pytest.raises(ValidationError, match=str(trees.MAX_GRAPH_EDGES)):
+            generate_ab_tree(AlphaBetaSpec(alpha=0.5, depth=10**9))
+
+
+# Potentials that put level edges on every edge-block branch: the Taylor
+# series (1e-14), the hyperbolic middle (4) and, on the unit root edge, the
+# flat asymptote (2.5e5, kappa * length = 500, where the dense oracle's
+# textbook cosh and sinh still hold).
+KAPPA2_CHOICES = (0.0, 1e-14, 4.0, 2.5e5)
+CELLS = ("aa", "ab", "ba", "bb")
+
+
+class TestLevelSweep:
+    """The sweep against the sparse solver and the dense oracle."""
+
+    @given(
+        alpha=st.floats(min_value=0.1, max_value=0.9),
+        depth=st.integers(min_value=3, max_value=10),
+        coefs=st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=5,
+                       max_size=5),
+        kappa2=st.lists(st.sampled_from(KAPPA2_CHOICES), min_size=0, max_size=10),
+    )
+    @example(alpha=0.3, depth=6, coefs=[1.0, -0.5, 0.25, 2.0, -1.0],
+             kappa2=[2.5e5, 4.0, 1e-14, 0.0, 4.0, 2.5e5])
+    @example(alpha=0.5625, depth=10, coefs=[1.875, 1.0, 0.0, 0.0, -0.75],
+             kappa2=[0.0, 4.0, 4.0] + [0.0] * 6 + [2.5e5])
+    @example(alpha=0.1, depth=10, coefs=[0.0] * 4 + [4.601812968762327e-36],
+             kappa2=[])
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sparse_and_dense(self, alpha, depth, coefs, kappa2):
+        spec = AlphaBetaSpec(alpha=alpha, depth=depth, kappa2_per_level=tuple(kappa2))
+        family = replace(spec, depth=2)
+        terms = [(c, ClopenSet.cylinder(family, p)) for c, p in zip(coefs, CELLS)]
+        terms.append((coefs[4], ClopenSet.root_vertex(family)))
+        f = SimpleBoundaryFunction(tuple(terms))
+
+        g = generate_ab_tree(spec)
+        data = f.boundary_data(g)
+        sparse = solve_dirichlet(g, data)
+        dense = dense_solve(g, data)
+        lengths = level_lengths(spec)
+        levels_kappa2 = [spec.kappa2_at_level(k + 1) for k in range(depth)]
+        leaf_values = np.array([data[v] for v in _leaves(g)])
+        blocks = [edge_dn_blocks(l, q) for l, q in zip(lengths, levels_kappa2)]
+        sol = level_sweep(blocks, levels_kappa2, leaf_values, data[0])
+        values = np.concatenate(sol.values)
+        assert np.abs(values - dense).max() <= 1e-12
+        assert np.abs(values - sparse.values).max() <= 1e-12
+
+        # Flux yardstick: 64 eps times the summed single-edge contributions
+        # |d g| + |o u| (the kirchhoff_residuals scale), plus what the
+        # reference's own vertex-value error carries through the leaf edge,
+        # |o| |u - u_sparse|: SuperLU's error is normwise, so in a cylinder
+        # whose values sit far below the solution's scale it exceeded 64 eps
+        # of the cylinder's contributions (86 eps against a 50-digit solve at
+        # alpha = 0.5625, depth 10, kappa2 = 2.5e5 on the leaves; the sweep
+        # was within 10 eps).  The reference sums its per-vertex derivatives
+        # exactly, since flux_sum's running sum over 512 leaves was itself
+        # 73 eps off at alpha = 0.1, depth 10.
+        diag, off = blocks[-1]
+        above = np.repeat(sol.values[-2], 2)
+        contributions = np.abs(diag * leaf_values) + np.abs(off * above)
+        leaf_ids = np.arange(2 ** (depth - 1), 2**depth)
+        carried = np.abs(off) * np.abs(values - sparse.values)[leaf_ids // 2]
+        eps = np.finfo(float).eps
+        for prefix in ("",) + CELLS + ("a", "b", "ab" + "a" * (depth - 3)):
+            cylinder = ClopenSet.cylinder(family, prefix)
+            ours = dn_at_depth(f, cylinder, depth)
+            reference = math.fsum(
+                sparse.derivative_at(v) for v in cylinder.resolve(g)
+            )
+            cells = cylinder_slice(prefix, depth)
+            bound = 64 * eps * contributions[cells].sum() + carried[cells].sum()
+            assert abs(ours - reference) <= bound
+        root = ClopenSet.root_vertex(family)
+        d0, o0 = blocks[0]
+        scale = abs(d0[0] * data[0]) + abs(o0[0] * values[1])
+        bound = 64 * eps * scale + abs(o0[0]) * abs(values[1] - sparse.values[1])
+        reference = sparse.flux_sum(root.resolve(g))
+        assert abs(dn_at_depth(f, root, depth) - reference) <= bound
