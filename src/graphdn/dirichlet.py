@@ -35,6 +35,7 @@ __all__ = [
     "solve_dirichlet",
     "DNMatrix",
     "dn_matrix",
+    "MAX_DN_BOUNDARY",
     "CurrentBalance",
     "current_balance",
     "EnergyIdentity",
@@ -45,6 +46,13 @@ __all__ = [
 ]
 
 _DENSE_EIG_LIMIT = 1200
+
+# Boundary-vertex ceiling of the dense DN build (depth 13 of a tree family).
+# Measured peak RSS of `graphdn dn` (alpha = 0.3, 2-core x86-64 VM): 106 MB
+# at 1,025 and 228 MB at 2,049 boundary vertices, i.e. about 65 MB plus 39
+# bytes per matrix entry; that predicts 0.72 GB at this ceiling and 2.7 GB
+# at the next depth's 8,193.
+MAX_DN_BOUNDARY = 2**12 + 1
 
 
 def _edge_blocks(g: MetricGraph):
@@ -208,7 +216,7 @@ class DirichletSolution:
     def flux_sum(self, vertices: Sequence[int] | None = None) -> float:
         if vertices is None:
             return float(self.boundary_derivatives.sum())
-        return float(sum(self.derivative_at(v) for v in vertices))
+        return math.fsum(self.derivative_at(v) for v in vertices)
 
     def value_at(self, point: GraphPoint) -> float:
         return self.edge_solutions[point.edge](point.offset)
@@ -342,8 +350,15 @@ def dn_matrix(g: MetricGraph, system: InteriorSystem | None = None) -> DNMatrix:
 
     Column ``j`` holds the boundary derivatives of the solve with indicator
     data at the j-th sorted boundary vertex; algebraically the Schur
-    complement of the interior block.
+    complement of the interior block.  Refuses graphs with more than
+    ``MAX_DN_BOUNDARY`` boundary vertices before allocating anything.
     """
+    n_boundary = len(g.boundary_vertices)
+    if n_boundary > MAX_DN_BOUNDARY:
+        raise ValidationError(
+            f"{n_boundary} boundary vertices exceed the dense DN matrix "
+            f"limit of {MAX_DN_BOUNDARY}"
+        )
     sys_ = InteriorSystem(g) if system is None else system
     bb = np.asarray(sys_.boundary, dtype=np.intp)
     a_bb = sys_.matrix[bb][:, bb].toarray()
@@ -400,12 +415,12 @@ class EnergyIdentity:
 def energy_identity(sol: DirichletSolution) -> EnergyIdentity:
     """Compare <DN u, u> on the boundary with the edgewise energy.
 
-    The two sides are computed independently: the left through the full
-    Dirichlet-to-Neumann matrix (one indicator solve per boundary vertex),
-    the right from the closed-form edge energies of this solution.
+    The two sides are computed independently from this solution: the left
+    as the boundary sum of data times outward derivative (the derivatives
+    are the closed-form edge derivatives at the boundary endpoints), the
+    right from the closed-form edge energies.  No DN matrix is built.
     """
-    dn = dn_matrix(sol.graph)
-    form = dn.quadratic(sol.boundary_values)
+    form = float(sol.boundary_values @ sol.boundary_derivatives)
     return EnergyIdentity(
         form_value=form,
         energy=sol.energy,
@@ -439,14 +454,19 @@ def max_principle_check(
 ) -> MaxPrincipleReport:
     """Check that interior values stay strictly between the boundary extremes.
 
-    Inspects every interior vertex value and the single interior extremum of
-    every hyperbolic edge solution (linear solutions are monotone); a
-    non-finite value or edge solution is a violation.  Constant boundary
-    data is skipped, since the open interval is then empty.  Report-only:
-    violations are returned, never raised.
+    When any edge carries a potential, solutions sag toward 0, so the
+    bounds are widened to ``min(lo, 0)`` and ``max(hi, 0)``.  Inspects every
+    interior vertex value and the single interior extremum of every
+    hyperbolic edge solution (linear solutions are monotone); a non-finite
+    value or edge solution is a violation.  The check is skipped only when
+    the (widened) interval is empty, i.e. for constant data without
+    potentials or zero data.  Report-only: violations are returned, never
+    raised.
     """
     lo = float(sol.boundary_values.min())
     hi = float(sol.boundary_values.max())
+    if any(e.kappa2 > 0.0 for e in sol.graph.edges):
+        lo, hi = min(lo, 0.0), max(hi, 0.0)
     if hi == lo:
         return MaxPrincipleReport(
             violations=(),

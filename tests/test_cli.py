@@ -1,8 +1,18 @@
-import pytest
+import contextlib
+import io
+import tempfile
+from pathlib import Path
 
-from graphdn import measure, trees
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from graphdn import cli, dirichlet, fileio, measure, trees
 from graphdn.cli import main
 from graphdn.fileio import read_graph
+
+from conftest import random_metric_graph
 
 
 def run(capsys, *argv):
@@ -86,6 +96,27 @@ def test_solve_summary_lines(tmp_path, capsys):
     ):
         assert key in out
     assert (tmp_path / "sol.txt").read_text().startswith("graphdn-solution 1")
+
+
+def test_solve_factors_once(monkeypatch, capsys):
+    factorizations = []
+    real_splu = dirichlet.splu
+
+    def counting_splu(*args, **kwargs):
+        factorizations.append(args[0].shape)
+        return real_splu(*args, **kwargs)
+
+    monkeypatch.setattr(dirichlet, "splu", counting_splu)
+    monkeypatch.setattr(cli, "dn_matrix", _refuse)
+    code, out, _ = run(
+        capsys, "solve", "--alpha", "0.3", "--depth", "5", "--kappa2", "4",
+        "--data", "v0=1,default=0.5",
+    )
+    assert code == 0
+    assert "dn-symmetry-residual" in out
+    # The potential pulls interior values below 0.5 toward 0: no failure.
+    assert "max-principle pass" in out
+    assert len(factorizations) == 1
 
 
 def test_solve_out_of_range_data_still_reports(capsys):
@@ -246,6 +277,62 @@ def test_converge_refuses_depth_past_ceiling(monkeypatch, capsys):
     assert err.startswith("error:") and str(trees.MAX_SWEEP_EDGES) in err
     assert "Traceback" not in err
     assert out == ""
+
+
+def test_dn_refuses_boundary_past_ceiling(monkeypatch, capsys):
+    # A depth-d truncation has 2**(d - 1) + 1 boundary vertices.
+    depth = (dirichlet.MAX_DN_BOUNDARY - 1).bit_length() + 1
+    monkeypatch.setattr(dirichlet, "splu", _refuse)
+    code, out, err = run(capsys, "dn", "--alpha", "0.3", "--depth", str(depth))
+    assert code == 2
+    assert err.startswith("error:") and str(dirichlet.MAX_DN_BOUNDARY) in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+MALFORMED_DATA = ("{v}=abc", "{v}=nan", "{v}=inf", "{v}", "{unknown}=1")
+
+
+def _run_solve(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    default=st.floats(-10.0, 10.0),
+    malformed=st.none() | st.sampled_from(MALFORMED_DATA),
+    position=st.integers(0, 3),
+)
+@settings(max_examples=40, deadline=None)
+def test_solve_contract_on_random_graphs(seed, default, malformed, position):
+    rng = np.random.default_rng(seed)
+    g = random_metric_graph(rng, max_vertices=20)
+    boundary = g.boundary_vertices
+    # The malformed token names the last boundary vertex, which no valid
+    # item repeats, so a later datum cannot override it.
+    values = rng.uniform(-2.0, 2.0, 2).tolist()
+    items = [f"{v}={x!r}" for v, x in zip(boundary[:-1], values)]
+    items.append(f"default={default!r}")
+    if malformed is not None:
+        token = malformed.format(v=boundary[-1], unknown=g.n_vertices + 5)
+        items.insert(min(position, len(items)), token)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graph.txt"
+        fileio.write_graph(g, path)
+        argv = ["solve", "--graph", str(path), "--data", ",".join(items)]
+        first = _run_solve(argv)
+        second = _run_solve(argv)
+    code, out, err = first
+    assert code in (0, 2)
+    if code != 0:
+        assert err.startswith("error:") and "Traceback" not in err
+    else:
+        assert malformed is None and "dn-symmetry-residual" in out
+    assert out.encode() == second[1].encode()
+    assert code == second[0]
 
 
 def test_solve_requires_single_source(tmp_path, capsys):

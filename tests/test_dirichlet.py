@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from graphdn import dirichlet
 from graphdn.dirichlet import (
     InteriorSystem,
     assemble,
@@ -16,7 +17,7 @@ from graphdn.dirichlet import (
 )
 from graphdn.errors import SingularInteriorError, ValidationError
 from graphdn.graph import build_graph
-from graphdn.trees import AlphaBetaSpec, generate_ab_tree
+from graphdn.trees import AlphaBetaSpec, cylinder_leaves, generate_ab_tree
 
 from conftest import graph_corpus
 from oracles import dense_dn, dense_solve
@@ -98,6 +99,17 @@ class TestSolve:
             scale = max(1.0, np.abs(dense).max())
             assert np.abs(sol.values - dense).max() <= 1e-9 * scale
 
+    def test_flux_sum_is_exactly_rounded(self):
+        # Deep alpha = 0.1 leaves carry large derivatives of both signs, so
+        # a running sum over a cylinder's 256 leaves drifts visibly.
+        g = generate_ab_tree(AlphaBetaSpec(alpha=0.1, depth=10))
+        rng = np.random.default_rng(0)
+        sol = solve_dirichlet(g, rng.uniform(0.0, 1.0, len(g.boundary_vertices)))
+        for prefix in ("a", "b", "ab"):
+            leaves = cylinder_leaves(g, prefix)
+            exact = math.fsum(sol.derivative_at(v) for v in leaves)
+            assert sol.flux_sum(leaves) == exact
+
 
 class TestDNMatrix:
     def test_interval_scaling(self):
@@ -126,6 +138,17 @@ class TestDNMatrix:
                 assert dn.min_eigenvalue() > 0.0
             oracle = dense_dn(g)
             assert np.abs(dn.matrix - oracle).max() <= 1e-9 * scale
+
+    def test_refuses_boundary_past_ceiling(self, monkeypatch):
+        monkeypatch.setattr(dirichlet, "MAX_DN_BOUNDARY", 2)
+        assert dn_matrix(interval()).matrix.shape == (2, 2)
+        monkeypatch.setattr(dirichlet, "InteriorSystem", _refuse)
+        with pytest.raises(ValidationError, match="limit of 2"):
+            dn_matrix(star3())
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("dense or factorizing work was started")
 
 
 class TestIdentities:
@@ -158,6 +181,17 @@ class TestIdentities:
         ei = energy_identity(sol)
         assert math.isclose(ei.energy, COTH1, rel_tol=1e-12)
         assert abs(ei.residual) <= 1e-12
+
+    def test_energy_identity_reads_the_solution(self, monkeypatch):
+        g = generate_ab_tree(AlphaBetaSpec(alpha=0.3, depth=6, kappa2_per_level=(2.0,)))
+        data = {v: float(v % 3) - 1.0 for v in g.boundary_vertices}
+        sol = solve_dirichlet(g, data)
+        reference = float(dn_matrix(g).quadratic(sol.boundary_values))
+        monkeypatch.setattr(dirichlet, "InteriorSystem", _refuse)
+        monkeypatch.setattr(dirichlet, "dn_matrix", _refuse)
+        ei = energy_identity(sol)
+        assert math.isclose(ei.form_value, reference, rel_tol=1e-12)
+        assert abs(ei.residual) <= 1e-12 * ei.energy
 
     def test_identity_residuals_on_corpus(self):
         rng = np.random.default_rng(17)
@@ -231,6 +265,51 @@ class TestMaxPrinciple:
         broken = dataclasses.replace(sol, edge_solutions=tuple(edges))
         report = max_principle_check(broken)
         assert [(v.kind, v.index) for v in report.violations] == [("edge", 0)]
+
+
+    def test_potential_widens_bounds_to_zero(self):
+        # -u'' + u = 0 on [0, 3] sags to 0.296 between data 1 and 0.5.
+        g = build_graph([(0, 1, 3.0, 1.0, 1.0)])
+        for sign in (1.0, -1.0):
+            sol = solve_dirichlet(g, {0: sign, 1: 0.5 * sign})
+            report = max_principle_check(sol)
+            assert report.passed, report.violations
+            assert (report.lower, report.upper) == tuple(sorted((0.0, sign)))
+            assert math.isclose(
+                abs(sol.edge_solutions[0].interior_extremum()[1]), 0.2964156423319081,
+                rel_tol=1e-12,
+            )
+
+    def test_potential_tree_signed_data(self):
+        g = generate_ab_tree(
+            AlphaBetaSpec(alpha=0.3, depth=5, kappa2_per_level=(4.0,))
+        )
+        for sign in (1.0, -1.0):
+            data = {v: sign * (1.0 if v == 0 else 0.5) for v in g.boundary_vertices}
+            report = max_principle_check(solve_dirichlet(g, data))
+            assert report.passed, report.violations
+            assert report.checked_edges == len(g.edges)
+
+    def test_potential_constant_data_is_checked(self):
+        g = generate_ab_tree(AlphaBetaSpec(alpha=0.3, depth=4, kappa2_per_level=(1.0,)))
+        sol = solve_dirichlet(g, {v: -2.0 for v in g.boundary_vertices})
+        report = max_principle_check(sol)
+        assert not report.skipped_constant and report.passed
+        # A value on the wrong side of 0 is still caught.
+        values = sol.values.copy()
+        values[g.interior_vertices[0]] = 0.25
+        report = max_principle_check(dataclasses.replace(sol, values=values))
+        assert [(v.kind, v.index) for v in report.violations] == [
+            ("vertex", g.interior_vertices[0])
+        ]
+
+    def test_no_potential_keeps_boundary_range(self):
+        sol = solve_dirichlet(star3(), {0: 1.0, 1: 0.5, 2: 0.5})
+        values = sol.values.copy()
+        values[3] = 0.25
+        report = max_principle_check(dataclasses.replace(sol, values=values))
+        assert (report.lower, report.upper) == (0.5, 1.0)
+        assert [(v.kind, v.index) for v in report.violations] == [("vertex", 3)]
 
 
 class TestLowerBound:
