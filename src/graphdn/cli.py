@@ -153,18 +153,28 @@ def _resolve_vertex(g: MetricGraph, token: str) -> int:
 
 def _parse_boundary_data(g: MetricGraph, spec: str) -> dict[int, float]:
     data: dict[int, float] = {}
+    keys: dict[int, str] = {}
     default = None
     for item in spec.split(","):
         item = item.strip()
         if not item:
             continue
         key, _, raw = item.partition("=")
+        key = key.strip()
         if not raw:
             raise ValidationError(f"malformed boundary datum {item!r}")
-        if key.strip() == "default":
+        if key == "default":
+            if default is not None:
+                raise ValidationError("boundary datum 'default' given twice")
             default = _parse_float(raw, "boundary value")
             continue
-        data[_resolve_vertex(g, key)] = _parse_float(raw, "boundary value")
+        v = _resolve_vertex(g, key)
+        if v in keys:
+            raise ValidationError(
+                f"boundary vertex {v} given twice ({keys[v]!r} and {key!r})"
+            )
+        keys[v] = key
+        data[v] = _parse_float(raw, "boundary value")
     if default is not None:
         for v in g.boundary_vertices:
             data.setdefault(v, default)

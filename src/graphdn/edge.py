@@ -28,6 +28,7 @@ __all__ = [
     "EdgeSolution",
     "edge_dn_block",
     "edge_dn_blocks",
+    "edge_potential_weights",
     "solve_edge",
     "edge_energy",
 ]
@@ -55,14 +56,7 @@ class EdgeDNBlock:
         return ((self.h_aa, self.h_ab), (self.h_ba, self.h_bb))
 
 
-def edge_dn_blocks(lengths, kappa2) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form flux blocks of many edges: ``(diag, off)`` arrays.
-
-    ``lengths`` and ``kappa2`` broadcast against each other.  Three branches
-    on ``z = sqrt(kappa2) * length``: a Taylor expansion for tiny ``z``
-    (continuous with the zero-potential block), the hyperbolic formula in
-    the middle, and the flat asymptote for huge ``z``.
-    """
+def _edge_arrays(lengths, kappa2) -> tuple[np.ndarray, np.ndarray]:
     lengths, kappa2 = np.broadcast_arrays(
         np.asarray(lengths, dtype=float), np.asarray(kappa2, dtype=float)
     )
@@ -72,7 +66,18 @@ def edge_dn_blocks(lengths, kappa2) -> tuple[np.ndarray, np.ndarray]:
     bad = ~((kappa2 >= 0.0) & np.isfinite(kappa2))
     if bad.any():
         raise DomainError(f"potential must be nonnegative, got {kappa2[bad].flat[0]}")
+    return lengths, kappa2
 
+
+def edge_dn_blocks(lengths, kappa2) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form flux blocks of many edges: ``(diag, off)`` arrays.
+
+    ``lengths`` and ``kappa2`` broadcast against each other.  Three branches
+    on ``z = sqrt(kappa2) * length``: a Taylor expansion for tiny ``z``
+    (continuous with the zero-potential block), the hyperbolic formula in
+    the middle, and the flat asymptote for huge ``z``.
+    """
+    lengths, kappa2 = _edge_arrays(lengths, kappa2)
     kappa = np.sqrt(kappa2)
     z = kappa * lengths
     diag = np.empty(z.shape)
@@ -94,6 +99,22 @@ def edge_dn_blocks(lengths, kappa2) -> tuple[np.ndarray, np.ndarray]:
         diag[middle] = k * (-(2.0 + em) / em)
         off[middle] = -k * (-2.0 * np.exp(-zm) / em)
     return diag, off
+
+
+def edge_potential_weights(lengths, kappa2) -> np.ndarray:
+    """Potential integrals of many edges per unit endpoint sum.
+
+    An edge solution has ``int kappa2 u = w (uA + uB)`` with
+    ``w = diag + off = kappa tanh(z / 2)``, the sum of its outward endpoint
+    derivatives per unit value.  ``w`` is evaluated directly, not as that
+    sum, which cancels for small ``z``: below ``SERIES_PRODUCT`` as
+    ``kappa2 l (1 - z**2 / 12) / 2``, exactly 0 without a potential.
+    """
+    lengths, kappa2 = _edge_arrays(lengths, kappa2)
+    kappa = np.sqrt(kappa2)
+    z = kappa * lengths
+    series = kappa2 * lengths * (1.0 - z * z / 12.0) / 2.0
+    return np.where(z < SERIES_PRODUCT, series, kappa * np.tanh(z / 2.0))
 
 
 def edge_dn_block(length: float, kappa2: float) -> EdgeDNBlock:

@@ -9,9 +9,10 @@ functional is approximated by exhaustion: solve the Dirichlet problem on
 the depth-n truncation with boundary data read off from F, sum the outward
 boundary derivatives over the vertices whose cells lie in E, and track the
 sequence over n.  Convergence of the sequence is reported as data, never
-raised.  Truncations are solved by the level sweep of :mod:`graphdn.trees`
-on per-level arrays, where a cylinder is a contiguous run of leaves; no
-truncation is built as a metric graph.
+raised.  Every truncation depth of one call is solved at once by
+:func:`graphdn.trees.cell_fluxes`, which reads the flux through each cell
+fine enough for F and E from that cell's top edge; no truncation is built
+as a metric graph and no leaf is visited.
 
 Finite truncations satisfy the structural identities exactly up to solver
 error: the functional is symmetric in (F-set, E), additive over partitions
@@ -21,19 +22,17 @@ of E, and its diagonal quadratic form is the solution energy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .edge import edge_dn_blocks
 from .errors import DomainError, ValidationError
 from .trees import (
     ADDRESS_ALPHABET,
     AlphaBetaSpec,
-    LevelSolution,
-    level_lengths,
-    level_sweep,
+    cell_fluxes,
+    cylinder_slice,
 )
 
 __all__ = [
@@ -192,9 +191,13 @@ class ClopenSet:
         return False
 
     @property
+    def cell_depth(self) -> int:
+        """Length of the longest prefix: the set is a union of such cells."""
+        return max((len(p) for p in self.prefixes), default=0)
+
+    @property
     def min_truncation_depth(self) -> int:
-        longest = max((len(p) for p in self.prefixes), default=0)
-        return max(2, longest + 1)
+        return max(2, self.cell_depth + 1)
 
     def resolve(self, graph) -> tuple[int, ...]:
         """Boundary vertices of a truncation graph carrying this set's cells.
@@ -221,11 +224,17 @@ class ClopenSet:
             raise DomainError("graph has no root boundary vertex")
         return tuple(verts)
 
-    def flux(self, sol: LevelSolution) -> float:
-        """Total outward boundary derivative of a level solution over the set."""
-        total = sol.root_flux if self.include_root else 0.0
+    def flux(self, cells: np.ndarray, root: float) -> float:
+        """Outward flux of one truncation through the set.
+
+        ``cells`` are the fluxes through the depth-``M`` cells in address
+        order, ``M >= cell_depth`` (a row of :func:`graphdn.trees.cell_fluxes`,
+        or a level solution's ``leaf_flux``), and ``root`` the root flux.
+        """
+        depth = len(cells).bit_length()
+        total = root if self.include_root else 0.0
         for p in self.prefixes:
-            total += sol.cylinder_flux(p)
+            total += cells[cylinder_slice(p, depth)].sum()
         return float(total)
 
     def label(self) -> str:
@@ -286,6 +295,10 @@ class SimpleBoundaryFunction:
     def value_at_cell(self, address: str) -> float:
         return sum(c for c, s in self.terms if s.contains_cell(address))
 
+    def cell_values(self) -> np.ndarray:
+        """F on each of its depth-``cell_depth`` cells, in address order."""
+        return np.array([self.value_at_cell(a) for a in _addresses(self.cell_depth)])
+
     def root_value(self) -> float:
         return sum(c for c, s in self.terms if s.include_root)
 
@@ -339,25 +352,18 @@ def combine(
     return SimpleBoundaryFunction(tuple(terms))
 
 
-def _truncations(
-    f: SimpleBoundaryFunction, depths: Sequence[int]
-) -> Iterator[LevelSolution]:
-    """One level sweep per depth, with the leaves carrying F's cell values.
+def _cell_fluxes(
+    f: SimpleBoundaryFunction, depths: Sequence[int], cell_depth: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fluxes of F's truncations through cells fine enough for F and E.
 
-    ``depths`` ascend.  The level lengths and edge blocks are built once,
-    for the deepest truncation, and shared by every depth; a depth beyond
-    the size ceiling is refused before the first sweep.
+    One :func:`cell_fluxes` call over ``depths``, read on the cells of
+    depth ``max(f.cell_depth, cell_depth)``.
     """
-    family = f.family
-    lengths = level_lengths(replace(family, depth=depths[-1]))
-    kappa2 = [family.kappa2_at_level(k + 1) for k in range(len(lengths))]
-    blocks = [edge_dn_blocks(l, q) for l, q in zip(lengths, kappa2)]
-    m = f.cell_depth
-    cells = np.array([f.value_at_cell(a) for a in _addresses(m)])
-    root = f.root_value()
-    for n in depths:
-        leaves = np.repeat(cells, 2 ** (n - 1 - m))
-        yield level_sweep(blocks[:n], kappa2[:n], leaves, root)
+    return cell_fluxes(
+        f.family, f.cell_values(), f.root_value(), depths,
+        max(f.cell_depth, cell_depth),
+    )
 
 
 def dn_at_depth(f: SimpleBoundaryFunction, e: ClopenSet, depth: int) -> float:
@@ -368,8 +374,8 @@ def dn_at_depth(f: SimpleBoundaryFunction, e: ClopenSet, depth: int) -> float:
         raise DomainError(
             f"depth {depth} too shallow; these sets need depth >= {needed}"
         )
-    (sol,) = _truncations(f, [depth])
-    return e.flux(sol)
+    (cells,), (root,) = _cell_fluxes(f, [depth], e.cell_depth)
+    return e.flux(cells, root)
 
 
 @dataclass(frozen=True)
@@ -448,7 +454,8 @@ def dn_function(
     if n_max < start:
         raise DomainError(f"n_max {n_max} below the starting depth {start}")
     depths = range(start, n_max + 1)
-    values = [e.flux(sol) for sol in _truncations(f, depths)]
+    cells, root = _cell_fluxes(f, depths, e.cell_depth)
+    values = [e.flux(c, r) for c, r in zip(cells, root)]
     return _report(depths, values, tol)
 
 
@@ -485,8 +492,8 @@ def measure_table(
 ) -> MeasureTable:
     """Evaluate the flux functional of F on a full cylinder partition.
 
-    Each truncation is solved once; the whole-boundary flux and every
-    cell's flux are read from that one solution.
+    All truncations are solved by one :func:`cell_fluxes` call; the
+    whole-boundary flux and every cell's flux are read from its rows.
     """
     _check_tolerance(tol)
     if partition_depth < 1:
@@ -506,19 +513,17 @@ def measure_table(
         raise DomainError(f"n_max {n_max} below the starting depth {start}")
 
     depths = range(start, n_max + 1)
+    rows, roots = _cell_fluxes(f, depths, partition_depth)
+    # The partition's cylinders are equal runs of the (as fine or finer)
+    # cells of the rows; the root vertex comes last, as in ``cells``.
+    per_cell = np.column_stack(
+        (rows.reshape(len(depths), 2**partition_depth, -1).sum(axis=2), roots)
+    )
     whole = ClopenSet.whole_boundary(family)
-    per_cell = {c: [] for c in cells}
-    additivity = 0.0
-    for sol in _truncations(f, depths):
-        total = whole.flux(sol)
-        cell_sum = 0.0
-        for c in cells:
-            v = c.flux(sol)
-            per_cell[c].append(v)
-            cell_sum += v
-        additivity = max(additivity, abs(cell_sum - total))
+    totals = [whole.flux(row, root) for row, root in zip(rows, roots)]
+    additivity = np.abs(per_cell.sum(axis=1) - totals).max()
 
-    reports = tuple(_report(depths, per_cell[c], tol) for c in cells)
+    reports = tuple(_report(depths, column.tolist(), tol) for column in per_cell.T)
     values = tuple(r.limit for r in reports)
     return MeasureTable(
         partition_depth=partition_depth,
@@ -551,5 +556,5 @@ def quadratic_form(f: SimpleBoundaryFunction, depth: int) -> float:
         raise DomainError(
             f"depth {depth} too shallow; F needs >= {f.min_truncation_depth}"
         )
-    (sol,) = _truncations(f, [depth])
-    return float(sol.values[0][0] * sol.root_flux + sol.values[-1] @ sol.leaf_flux)
+    (cells,), (root,) = _cell_fluxes(f, [depth], 0)
+    return float(f.root_value() * root + f.cell_values() @ cells)

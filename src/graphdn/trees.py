@@ -17,10 +17,12 @@ oracle for the numerical solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
+from .edge import edge_dn_blocks, edge_potential_weights
 from .errors import DomainError, ValidationError
 from .graph import Edge, MetricGraph, VertexMeta, build_graph, geodesic_distance
 
@@ -31,6 +33,7 @@ __all__ = [
     "level_lengths",
     "LevelSolution",
     "level_sweep",
+    "cell_fluxes",
     "cylinder_slice",
     "generate_ab_tree",
     "HarmonicClosedForm",
@@ -49,9 +52,15 @@ ADDRESS_ALPHABET = ("a", "b")
 # 2-core x86-64 VM (CPython 3.11, numpy 2.4): generate_ab_tree took 21 MB at
 # depth 15 and 87 MB at depth 17 (about 0.69 KB per edge for the Edge and
 # VertexMeta objects, addresses and build_graph's lists); a level sweep took
-# 56 MB at depth 20 and 227 MB at depth 22 (about 57 B per edge).  Each
+# 56 MB at depth 20 and 227 MB at depth 22 (about 57 B per edge).
+# MAX_SWEEP_EDGES bounds the truncation depth n of level_sweep and
+# cell_fluxes.  cell_fluxes tabulates subtrees per level and distinct edge
+# length (a few hundred lengths per level at depth 24) and sweeps only the
+# 2**M cells read, one row per depth above M, so at most 2**(n - 1) cell
+# entries: about 0.4 MB for exhaustion through shallow cells at depth 24, and
+# 0.83 GB (104 B per entry, traced) through a depth-23 cell.  Each
 # ceiling keeps one call under about 1 GB: depth 20 (0.7 GB predicted) for
-# the graph, depth 24 (0.94 GB peak, measured) for the sweep.
+# the graph, depth 24 for the sweep.
 MAX_GRAPH_EDGES = 2**20 - 1
 MAX_SWEEP_EDGES = 2**24 - 1
 
@@ -191,9 +200,49 @@ class LevelSolution:
     def depth(self) -> int:
         return len(self.values) - 1
 
-    def cylinder_flux(self, prefix: str) -> float:
-        """Total outward derivative over the leaves of a prefix cylinder."""
-        return float(self.leaf_flux[cylinder_slice(prefix, self.depth)].sum())
+
+def _check_finite(values: np.ndarray, root_value: float, what: str) -> None:
+    if not math.isfinite(root_value):
+        raise ValidationError(f"non-finite boundary value {root_value} at the root")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if len(bad):
+        raise ValidationError(
+            f"non-finite boundary value {values[bad[0]]} at {what} {bad[0]}"
+        )
+
+
+def _eliminate(d, o, kappa2, y_v, j_v):
+    """Kron-eliminate the lower vertex of edges with blocks ``(d, o)``.
+
+    ``Y_v u_v + J_v`` is what the subtrees below the lower vertex draw at
+    it; the edge together with them then draws ``Y u + J`` at its upper
+    vertex ``u``.  Returns the pivot ``d + Y_v`` and ``(Y, J)``, using
+    ``d**2 - o**2 = kappa2`` to avoid cancellation.
+    """
+    pivot = d + y_v
+    return pivot, (kappa2 + d * y_v) / pivot, -o * j_v / pivot
+
+
+def _reduce(blocks, kappa2, y, j, root_value):
+    """Sweep the levels of ``blocks`` up, then their vertex values down.
+
+    ``blocks[k]`` is the level-``k + 1`` edge block and ``y``, ``j`` the
+    admittance and transfer of the edges one level below the last block
+    (address order on the last axis; leading axes batch problems with the
+    same root value).  Returns the vertex values of levels 0 through
+    ``len(blocks)`` and the ``(Y, J)`` drawn through the top edge.
+    """
+    pivots = []
+    for (d, o), q in zip(reversed(blocks), reversed(kappa2)):
+        j_v = j[..., 0::2] + j[..., 1::2]
+        pivot, y, j = _eliminate(d, o, q, y[..., 0::2] + y[..., 1::2], j_v)
+        pivots.append((pivot, j_v))
+    pivots.reverse()
+    values = [np.full(y.shape[:-1] + (1,), float(root_value))]
+    for (d, o), (pivot, j_v) in zip(blocks, pivots):
+        above = np.repeat(values[-1], d.shape[-1] // values[-1].shape[-1], axis=-1)
+        values.append(-(o * above + j_v) / pivot)
+    return values, y, j
 
 
 def level_sweep(
@@ -218,38 +267,129 @@ def level_sweep(
     which uses ``d**2 - o**2 = kappa2`` to avoid cancellation.  Root to
     leaf, Kirchhoff at each interior vertex gives
     ``u_v = -(o u_parent + J_v) / (d + Y_v)``; boundary fluxes come from
-    the edge closed forms.
+    the edge closed forms.  This is the explicit reference: each leaf flux
+    ``d g + o u_parent`` carries a rounding error of about ``eps |u| / l``
+    of its short leaf edge, so a cylinder's leaf sum is noisy on deep
+    truncations; :func:`cell_fluxes` reads it on the cylinder's top edge.
     """
     leaf_values = np.asarray(leaf_values, dtype=float)
-    if not math.isfinite(root_value):
-        raise ValidationError(f"non-finite boundary value {root_value} at the root")
-    bad = np.flatnonzero(~np.isfinite(leaf_values))
-    if len(bad):
-        raise ValidationError(
-            f"non-finite boundary value {leaf_values[bad[0]]} at leaf {bad[0]}"
-        )
+    _check_finite(leaf_values, root_value, "leaf")
     d, o = blocks[-1]
-    y, j = d, o * leaf_values
-    pivots = []
-    for (d, o), q in zip(reversed(blocks[:-1]), reversed(kappa2[:-1])):
-        y_v = y[0::2] + y[1::2]
-        j_v = j[0::2] + j[1::2]
-        pivot = d + y_v
-        pivots.append((pivot, j_v))
-        y, j = (q + d * y_v) / pivot, -o * j_v / pivot
-    pivots.reverse()
-
-    values = [np.array([float(root_value)])]
-    for (d, o), (pivot, j_v) in zip(blocks, pivots):
-        above = np.repeat(values[-1], len(d) // len(values[-1]))
-        values.append(-(o * above + j_v) / pivot)
-    d, o = blocks[-1]
+    values, _, _ = _reduce(blocks[:-1], kappa2[:-1], d, o * leaf_values, root_value)
     above = np.repeat(values[-1], len(d) // len(values[-1]))
     leaf_flux = d * leaf_values + o * above
     values.append(leaf_values)
     d, o = blocks[0]
     root_flux = float(d[0] * values[0][0] + o[0] * values[1][0])
     return LevelSolution(values=tuple(values), leaf_flux=leaf_flux, root_flux=root_flux)
+
+
+def cell_fluxes(
+    family: AlphaBetaSpec,
+    cell_values: np.ndarray,
+    root_value: float,
+    depths: Sequence[int],
+    cell_depth: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Outward fluxes of several truncations through depth-``M`` cells.
+
+    The Dirichlet data are ``cell_values`` on the cells of one level, in
+    address order, and ``root_value`` at the root; ``M = cell_depth`` is
+    at least as deep as that level.  Returns ``(cells, root)``:
+    row ``i`` of ``cells`` holds the depth-``depths[i]`` truncation's flux
+    through each depth-``M`` cell (the sum of its leaves' outward
+    derivatives) and ``root[i]`` its root flux.
+
+    Below level ``M`` every subtree has constant data ``c``, and its edges
+    follow from its top edge's level and float length, since
+    :func:`level_lengths` derives each child's length from its parent's by
+    one multiplication.  So subtrees are tabulated per level and distinct
+    top length (``O(k**2)`` of them at level ``k``, against ``2**(k-1)``
+    edges).  With ``u`` the value above its top edge, a subtree draws
+    ``Y u + J`` through that edge, ``J = T c``, and holds the potential
+    integral ``A u + B c``.  One table row per depth carries these from the
+    leaves to level ``M + 1`` by the elimination step of
+    :func:`level_sweep`, with ``J`` and ``B c`` carried per distinct data
+    value, so that each subtree's ``Y`` and ``J`` come from the very
+    operations the sweep applies to it.  Only the top ``M`` levels are
+    swept edge by edge, and their vertex values are the sweep's, bit for
+    bit.  By current balance a cell's flux is ``A u + B c - (Y u + J)`` on
+    its top edge, which the symmetry of the subtree's two-terminal map
+    turns into the cancellation-free ``T u + (B c - J)``; no leaf flux is
+    summed.
+    """
+    depths = np.asarray(depths, dtype=int)
+    if not len(depths):
+        raise DomainError("no truncation depths given")
+    n_max = int(depths.max())
+    _check_depth(replace(family, depth=n_max), MAX_SWEEP_EDGES, "level-array")
+    cell_values = np.asarray(cell_values, dtype=float)
+    given = len(cell_values).bit_length() - 1
+    if len(cell_values) != 1 << given:
+        raise ValidationError(
+            f"need one value per cell of a level, got {len(cell_values)}"
+        )
+    top = cell_depth
+    if top < given:
+        raise DomainError(f"depth-{top} cells are coarser than the data's")
+    if depths.min() <= top:
+        raise DomainError(
+            f"depth {depths.min()} does not resolve the depth-{top} cells"
+        )
+    _check_finite(cell_values, root_value, "cell")
+    kappa2 = [family.kappa2_at_level(k + 1) for k in range(n_max)]
+
+    # The distinct lengths of each level, the positions of each one's a- and
+    # b-children in the next level's, and the class of every edge of levels
+    # 1 .. top + 1 (the last are the cells' top edges).
+    levels, children, address = [np.array([family.root_length])], [], [[0]]
+    split = np.array([family.alpha, family.beta])
+    for k in range(1, n_max):
+        products = (levels[-1][:, None] * split).ravel()
+        distinct = np.unique(products)
+        index = np.searchsorted(distinct, products)
+        levels.append(distinct)
+        children.append((index[0::2], index[1::2]))
+        if k <= top:
+            address.append(index.reshape(-1, 2)[address[-1]].ravel())
+    potentials = np.repeat(kappa2, [len(x) for x in levels])
+    flat = np.concatenate(levels)
+    d, o = edge_dn_blocks(flat, potentials)
+    w = edge_potential_weights(flat, potentials)
+    ends = np.cumsum([len(x) for x in levels]).tolist()
+    spans = [slice(end - len(lv), end) for lv, end in zip(levels, ends)]
+    blocks = [(d[s][i], o[s][i]) for s, i in zip(spans, address[:top])]
+
+    # Leaf to level top + 1.  The table stacks Y, A and, per distinct data
+    # value c, J and B c, so T is J at c = 1.  Its rows are the depths whose
+    # leaves lie at or below the current level, deepest first; each starts
+    # from leaf values at its own level.
+    data, index = np.unique(np.append(cell_values, 1.0), return_inverse=True)
+    v = len(data)
+    leaves = np.concatenate(([d, w], o * data[:, None], w * data[:, None]))
+    rows = np.bincount(depths, minlength=n_max + 1).tolist()
+    table = np.empty((2 + 2 * v, 0, len(levels[-1])))
+    for k in range(n_max, top, -1):
+        s = spans[k - 1]
+        if k < n_max:
+            kids = children[k - 1]
+            table = table[..., kids[0]] + table[..., kids[1]]
+            y, a, j, b = table[0], table[1], table[2:2 + v], table[2 + v:]
+            pivot, y, j_k = _eliminate(d[s], o[s], kappa2[k - 1], y, j)
+            lift = (w[s] + a) / pivot
+            table = np.concatenate(([y, w[s] - o[s] * lift], j_k, b - j * lift))
+        start = leaves[:, None, s].repeat(rows[k], axis=1)
+        table = np.concatenate((table, start), axis=1)
+    table = table[:, np.argsort(np.argsort(-depths, kind="stable"))]
+
+    # Each cell reads its class's Y and T, and J and B c at its data value.
+    cell, value = address[top], np.repeat(index[:-1], 1 << (top - given))
+    y, t = table[0][:, cell], table[2 + index[-1]][:, cell]
+    j, b = (table[2 + shift + value, :, cell].T for shift in (0, v))
+    values, y_root, j_root = _reduce(blocks, kappa2[:top], y, j, root_value)
+    above = np.repeat(values[-1], (1 << top) // values[-1].shape[-1], axis=-1)
+    cells = t * above + (b - j)
+    return cells, y_root[:, 0] * root_value + j_root[:, 0]
 
 
 def cylinder_slice(prefix: str, depth: int) -> slice:

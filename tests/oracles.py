@@ -197,3 +197,60 @@ def resistance_flux(
         tail = s * edge_len(a)
         flux[a] = (cell_values[a] - u[index[a]]) / tail
     return flux
+
+
+def mp_leaf_fluxes(
+    lengths: list[np.ndarray],
+    kappa2: list[float],
+    leaf_values: np.ndarray,
+    root_value: float,
+    dps: int = 50,
+) -> tuple[list, object]:
+    """High-precision leaf fluxes and root flux of a tree truncation.
+
+    ``lengths[k]`` are the level-``k + 1`` edge lengths in address order
+    (converted exactly), ``kappa2[k]`` that level's potential.  Eliminates
+    vertex by vertex with textbook ``coth``/``csch`` blocks in ``dps``-digit
+    arithmetic and returns the leaf fluxes ``d g + o u_parent`` as mpmath
+    numbers, whose cancellation is harmless at this precision.  Needs mpmath.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        blocks = []
+        for level, q in zip(lengths, kappa2):
+            k = mpmath.sqrt(mpmath.mpf(q))
+            if q == 0.0:
+                blocks.append([(1 / mpmath.mpf(l), -1 / mpmath.mpf(l)) for l in level])
+            else:
+                blocks.append(
+                    [(k * mpmath.coth(k * mpmath.mpf(l)),
+                      -k * mpmath.csch(k * mpmath.mpf(l))) for l in level]
+                )
+        leaves = [mpmath.mpf(x) for x in leaf_values]
+        y = [d for d, _ in blocks[-1]]
+        j = [o * g for (_, o), g in zip(blocks[-1], leaves)]
+        pivots = []
+        for level, q in zip(reversed(blocks[:-1]), reversed(kappa2[:-1])):
+            y_v = [y[2 * i] + y[2 * i + 1] for i in range(len(level))]
+            j_v = [j[2 * i] + j[2 * i + 1] for i in range(len(level))]
+            piv = [d + yv for (d, _), yv in zip(level, y_v)]
+            pivots.append((piv, j_v))
+            y = [(q + d * yv) / p for (d, _), yv, p in zip(level, y_v, piv)]
+            j = [-o * jv / p for (_, o), jv, p in zip(level, j_v, piv)]
+        pivots.reverse()
+        values = [[mpmath.mpf(root_value)]]
+        for level, (piv, j_v) in zip(blocks, pivots):
+            above = values[-1] if len(level) == 1 else [
+                values[-1][i // 2] for i in range(len(level))
+            ]
+            values.append(
+                [-(o * u + jv) / p for (_, o), u, jv, p in zip(level, above, j_v, piv)]
+            )
+        above = values[-1] if len(blocks) == 1 else [
+            values[-1][i // 2] for i in range(len(leaves))
+        ]
+        flux = [d * g + o * u for (d, o), g, u in zip(blocks[-1], leaves, above)]
+        d0, o0 = blocks[0][0]
+        second = values[1][0] if len(values) > 1 else leaves[0]
+        return flux, d0 * values[0][0] + o0 * second

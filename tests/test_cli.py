@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphdn import cli, dirichlet, fileio, measure, trees
+from graphdn import cli, dirichlet, fileio, trees
 from graphdn.cli import main
 from graphdn.fileio import read_graph
 
 from conftest import random_metric_graph
+from oracles import resistance_flux
 
 
 def run(capsys, *argv):
@@ -248,6 +249,43 @@ def test_malformed_input_exits_2(argv, token, tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "data, named",
+    [
+        ("v0=nan,0=1,default=0", "vertex 0 given twice ('v0' and '0')"),
+        ("@aaa=1,8=2,default=0", "vertex 8 given twice ('@aaa' and '8')"),
+        ("0=1,default=0,default=1", "'default' given twice"),
+    ],
+)
+def test_duplicate_boundary_key_exits_2(data, named, capsys):
+    code, out, err = run(
+        capsys, "solve", "--alpha", "0.3", "--depth", "4", "--data", data
+    )
+    assert code == 2
+    assert err.startswith("error:") and named in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+def test_converge_reaches_oracle_at_depth_24(tmp_path, capsys):
+    out_file = tmp_path / "c.txt"
+    code, out, _ = run(
+        capsys, "converge", "--alpha", "0.3", "--F", "cyl:a-0.5*v0",
+        "--E", "cyl:a", "--max-depth", "24", "-o", str(out_file),
+    )
+    assert code == 0 and "converged yes" in out
+    lines = out_file.read_text().splitlines()
+    rows = lines[lines.index("depth value residual") + 1:]
+    values = dict((int(n), float(v)) for n, v, _ in (r.split() for r in rows))
+    exact = resistance_flux(0.3, {"a": 1.0, "b": 0.0}, -0.5)["a"]
+    assert abs(values[24] - exact) <= 1e-13
+    # Residuals fall by alpha * (1 - alpha) = 0.21 per level until rounding.
+    residuals = [abs(values[n] - values[n - 1]) for n in range(3, 25)]
+    ratios = [r / r0 for r0, r in zip(residuals, residuals[1:]) if r > 1e-13]
+    assert len(ratios) >= 15
+    assert all(0.15 < q < 0.3 for q in ratios)
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("work started past a size ceiling")
 
@@ -268,7 +306,8 @@ def test_generate_refuses_depth_past_ceiling(tmp_path, monkeypatch, capsys):
 
 def test_converge_refuses_depth_past_ceiling(monkeypatch, capsys):
     depth = trees.MAX_SWEEP_EDGES.bit_length() + 1
-    monkeypatch.setattr(measure, "level_sweep", _refuse)
+    # The exhaustion kernel refuses before it computes any edge block.
+    monkeypatch.setattr(trees, "edge_dn_blocks", _refuse)
     code, out, err = run(
         capsys, "converge", "--alpha", "0.5", "--F", "cyl:a", "--E", "cyl:b",
         "--max-depth", str(depth),

@@ -9,12 +9,19 @@ from graphdn.edge import (
     ASYMPTOTIC_PRODUCT,
     SERIES_PRODUCT,
     edge_dn_block,
+    edge_dn_blocks,
     edge_energy,
+    edge_potential_weights,
     solve_edge,
 )
 from graphdn.errors import DomainError
 
-from oracles import fd_edge_block, fd_edge_midpoint, quad_energy
+from oracles import (
+    fd_edge_block,
+    fd_edge_midpoint,
+    quad_energy,
+    quad_potential_integral,
+)
 
 COTH1 = 1.3130352854993312
 CSCH1 = 0.8509181282393216
@@ -190,3 +197,29 @@ class TestExtremum:
     def test_monotone_has_none(self):
         s = solve_edge(1.0, 1.0, 0.0, 1.0)
         assert s.interior_extremum() is None
+
+
+class TestPotentialWeights:
+    @pytest.mark.parametrize(
+        "length, kappa2",
+        [(1.0, 1e-14), (0.3, 2e-13), (1.0, 4.0), (0.05, 9.0), (2.0, 30.0)],
+    )
+    def test_against_quadrature(self, length, kappa2):
+        # int kappa2 u = w (uA + uB), here for uA = 1, uB = 0.5.
+        w = float(edge_potential_weights(length, kappa2))
+        exact = quad_potential_integral(solve_edge(length, kappa2, 1.0, 0.5))
+        assert math.isclose(w * 1.5, exact, rel_tol=1e-10)
+
+    def test_block_sum_and_branches(self):
+        lengths = np.array([1.0, 0.5, 2.0, 1.0])
+        kappa2 = np.array([0.0, 4.0, 9.0, 490000.0])
+        w = edge_potential_weights(lengths, kappa2)
+        diag, off = edge_dn_blocks(lengths, kappa2)
+        assert w[0] == 0.0
+        assert np.allclose(w[1:3], diag[1:3] + off[1:3], rtol=1e-14)
+        assert w[3] == 700.0
+
+    def test_series_branch_continuity(self):
+        below = float(edge_potential_weights(1.0, (SERIES_PRODUCT * 0.999) ** 2))
+        above = float(edge_potential_weights(1.0, (SERIES_PRODUCT * 1.001) ** 2))
+        assert math.isclose(above / below, (1.001 / 0.999) ** 2, rel_tol=1e-12)

@@ -16,7 +16,7 @@ from graphdn.measure import (
     quadratic_form,
     symmetry_residual,
 )
-from graphdn.trees import AlphaBetaSpec, generate_ab_tree, level_sweep
+from graphdn.trees import AlphaBetaSpec, cell_fluxes, generate_ab_tree
 
 from oracles import resistance_flux
 
@@ -247,15 +247,15 @@ class TestSymmetry:
 
 class TestMeasureTable:
     def test_one_solve_per_depth(self, monkeypatch):
-        swept = []
+        calls = []
 
-        def counting_sweep(blocks, kappa2, leaf_values, root_value):
-            swept.append(len(blocks))
-            return level_sweep(blocks, kappa2, leaf_values, root_value)
+        def counting_kernel(family, cell_values, root_value, depths, cell_depth):
+            calls.append((len(cell_values), cell_depth, list(depths)))
+            return cell_fluxes(family, cell_values, root_value, depths, cell_depth)
 
-        monkeypatch.setattr(measure, "level_sweep", counting_sweep)
+        monkeypatch.setattr(measure, "cell_fluxes", counting_kernel)
         measure_table(indicator(FAM3, "a"), partition_depth=2, tol=1e-6, n_max=7)
-        assert swept == [3, 4, 5, 6, 7]
+        assert calls == [(2, 2, [3, 4, 5, 6, 7])]
 
     def test_zero_function_gives_zero_cells(self):
         f = SimpleBoundaryFunction.indicator(ClopenSet.whole_boundary(FAM5))
@@ -295,6 +295,20 @@ class TestMeasureTable:
         assert abs(got["@aa"] - oracle["aa"]) < 1e-7
         assert abs(got["@ba"] - oracle["ba"]) < 1e-7
         assert abs(got["v0"] - oracle["v0"]) < 1e-7
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.35, 0.45])
+    def test_depth_14_cells_match_oracle(self, alpha):
+        # Depth-14 truncation error is about 1.3e-9 on these cells; summing
+        # leaf fluxes instead put them up to 3.8e-8 off.
+        fam = AlphaBetaSpec(alpha=alpha, depth=2)
+        table = measure_table(indicator(fam, "a"), partition_depth=5, tol=1e-6,
+                              n_max=14)
+        cells = [c.prefixes[0] for c in table.cells[:-1]]
+        oracle = resistance_flux(
+            alpha, {c: 1.0 if c.startswith("a") else 0.0 for c in cells}, 0.0
+        )
+        for key, value in zip(cells + ["v0"], table.values):
+            assert abs(value - oracle[key]) < 5e-9
 
     def test_refinement_consistency(self):
         f = indicator(FAM3, "a")

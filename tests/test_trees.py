@@ -298,6 +298,11 @@ class TestLevelSweep:
              kappa2=[0.0, 4.0, 4.0] + [0.0] * 6 + [2.5e5])
     @example(alpha=0.1, depth=10, coefs=[0.0] * 4 + [4.601812968762327e-36],
              kappa2=[])
+    @example(alpha=0.6850238433433579, depth=10,
+             coefs=[0.0, 0.0, 0.0, 0.21062515315611607, -2.0],
+             kappa2=[0.0] * 5 + [4.0, 0.0, 2.5e5])
+    @example(alpha=0.5, depth=7, coefs=[0.0] * 4 + [2.2250738585072014e-308],
+             kappa2=[])
     @settings(max_examples=60, deadline=None)
     def test_matches_sparse_and_dense(self, alpha, depth, coefs, kappa2):
         spec = AlphaBetaSpec(alpha=alpha, depth=depth, kappa2_per_level=tuple(kappa2))
@@ -329,11 +334,21 @@ class TestLevelSweep:
         # was within 10 eps).  The reference sums its per-vertex derivatives
         # exactly, since flux_sum's running sum over 512 leaves was itself
         # 73 eps off at alpha = 0.1, depth 10.
+        #
+        # Gradual underflow adds an absolute error of up to 2**-1075 to each
+        # product and quotient, which no relative bound expresses: with data
+        # near the smallest normal number the reference's vertex values lose
+        # digits, up to a few such units per level, and the leaf edge carries
+        # them out scaled by its block (|o| <= d).  At alpha = 0.5, depth 7,
+        # root data 2.2e-308 and zeros elsewhere, dn_at_depth was 3.8e-321
+        # off the sparse leaf sum, whose cancelling subnormal terms carry
+        # that error.
         diag, off = blocks[-1]
         above = np.repeat(sol.values[-2], 2)
         contributions = np.abs(diag * leaf_values) + np.abs(off * above)
         leaf_ids = np.arange(2 ** (depth - 1), 2**depth)
         carried = np.abs(off) * np.abs(values - sparse.values)[leaf_ids // 2]
+        underflow = depth * 2.0**-1074 * diag
         eps = np.finfo(float).eps
         for prefix in ("",) + CELLS + ("a", "b", "ab" + "a" * (depth - 3)):
             cylinder = ClopenSet.cylinder(family, prefix)
@@ -343,10 +358,110 @@ class TestLevelSweep:
             )
             cells = cylinder_slice(prefix, depth)
             bound = 64 * eps * contributions[cells].sum() + carried[cells].sum()
-            assert abs(ours - reference) <= bound
+            assert abs(ours - reference) <= bound + underflow[cells].sum()
         root = ClopenSet.root_vertex(family)
         d0, o0 = blocks[0]
         scale = abs(d0[0] * data[0]) + abs(o0[0] * values[1])
         bound = 64 * eps * scale + abs(o0[0]) * abs(values[1] - sparse.values[1])
+        bound += depth * 2.0**-1074 * d0[0]
         reference = sparse.flux_sum(root.resolve(g))
         assert abs(dn_at_depth(f, root, depth) - reference) <= bound
+
+
+class TestCellFluxes:
+    """The subtree-table kernel against the level sweep and 50-digit sweeps."""
+
+    @given(
+        alpha=st.floats(min_value=0.1, max_value=0.9),
+        depth=st.integers(min_value=3, max_value=12),
+        top=st.integers(min_value=2, max_value=11),
+        coefs=st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=5,
+                       max_size=5),
+        kappa2=st.lists(st.sampled_from(KAPPA2_CHOICES), min_size=0, max_size=12),
+    )
+    @example(alpha=0.6850238433433579, depth=10, top=2,
+             coefs=[0.0, 0.0, 0.0, 0.21062515315611607, -2.0],
+             kappa2=[0.0] * 5 + [4.0, 0.0, 2.5e5])
+    @example(alpha=0.1, depth=12, top=2, coefs=[1.0, 1.0, 0.0, 0.0, -0.5],
+             kappa2=[])
+    @settings(max_examples=80, deadline=None)
+    def test_matches_level_sweep(self, alpha, depth, top, coefs, kappa2):
+        top = min(top, depth - 1)
+        family = AlphaBetaSpec(alpha=alpha, depth=2, kappa2_per_level=tuple(kappa2))
+        depths = range(top + 1, depth + 1)
+        ours, ours_root = trees.cell_fluxes(family, coefs[:4], coefs[4], depths, top)
+        assert ours.shape == (len(depths), 2**top)
+        eps = np.finfo(float).eps
+        for row, root, n in zip(ours, ours_root, depths):
+            spec = replace(family, depth=n)
+            leaf_values = np.repeat(coefs[:4], 2 ** (n - 3))
+            levels_kappa2 = [spec.kappa2_at_level(k + 1) for k in range(n)]
+            blocks = [
+                edge_dn_blocks(l, q)
+                for l, q in zip(level_lengths(spec), levels_kappa2)
+            ]
+            sol = level_sweep(blocks, levels_kappa2, leaf_values, coefs[4])
+            # The leaf-sum yardstick of TestLevelSweep: 64 eps times the
+            # summed single-edge contributions |d g| + |o u| of the sweep,
+            # plus its underflow term.
+            diag, off = blocks[-1]
+            above = np.repeat(sol.values[-2], 2)
+            contributions = np.abs(diag * leaf_values) + np.abs(off * above)
+            bound = 64 * eps * contributions + n * 2.0**-1074 * diag
+            reference = sol.leaf_flux.reshape(2**top, -1).sum(axis=1)
+            assert np.all(
+                np.abs(row - reference) <= bound.reshape(2**top, -1).sum(axis=1)
+            )
+            d0, o0 = blocks[0]
+            scale = abs(d0[0] * coefs[4]) + abs(o0[0] * sol.values[1][0])
+            bound = 64 * eps * scale + n * 2.0**-1074 * d0[0]
+            assert abs(root - sol.root_flux) <= bound
+
+    # A cell's flux carries the rounding of the value above its top edge
+    # times the subtree's admittance, about 1 / (top-edge length): reading
+    # the alpha = 0.1 truncation on its depth-3 cells, whose shortest top
+    # edge is 1e-3 long, is 5.9e-14 off the 50-digit values.  The leaf sum
+    # of level_sweep is 2.9e-5 off at alpha = 0.1, depth 13.
+    @pytest.mark.parametrize(
+        "alpha, depth, kappa2, top",
+        [
+            (0.1, 13, (), 1),
+            (0.3, 12, (4.0, 2.0, 1.0, 0.5), 3),
+            (0.45, 11, (2.5e5, 4.0), 2),
+        ],
+    )
+    def test_matches_50_digit_sweep(self, alpha, depth, kappa2, top):
+        mpmath = pytest.importorskip("mpmath")
+        from oracles import mp_leaf_fluxes
+
+        spec = AlphaBetaSpec(alpha=alpha, depth=depth, kappa2_per_level=kappa2)
+        # F = 1 on cyl:a and -0.5 at v0, read on the depth-top cells.
+        (ours,), (ours_root,) = trees.cell_fluxes(spec, [1.0, 0.0], -0.5, [depth], top)
+        leaf_values = np.repeat([1.0, 0.0], 2 ** (depth - 2))
+        lengths = level_lengths(spec)
+        kappa2_n = [spec.kappa2_at_level(k + 1) for k in range(depth)]
+        flux, root = mp_leaf_fluxes(lengths, kappa2_n, leaf_values, -0.5)
+        per_cell = 2 ** (depth - 1 - top)
+        with mpmath.workdps(50):
+            exact = [mpmath.fsum(flux[i:i + per_cell])
+                     for i in range(0, len(flux), per_cell)]
+            for value, x in zip(list(ours) + [ours_root], exact + [root]):
+                assert abs(value - x) <= 1e-14 * abs(x)
+
+    def test_rejects_bad_input(self):
+        family = AlphaBetaSpec(alpha=0.3, depth=2)
+        with pytest.raises(ValidationError, match="non-finite"):
+            trees.cell_fluxes(family, [1.0, np.nan], 0.0, [3], 1)
+        with pytest.raises(ValidationError, match="non-finite"):
+            trees.cell_fluxes(family, [1.0, 0.0], np.inf, [3], 1)
+        with pytest.raises(ValidationError, match="one value per cell"):
+            trees.cell_fluxes(family, [1.0, 0.0, 2.0], 0.0, [3], 2)
+        with pytest.raises(DomainError, match="no truncation depths"):
+            trees.cell_fluxes(family, [1.0, 0.0], 0.0, [], 1)
+        with pytest.raises(DomainError, match="does not resolve"):
+            trees.cell_fluxes(family, [1.0, 0.0], 0.0, [2, 3], 2)
+        with pytest.raises(DomainError, match="coarser"):
+            trees.cell_fluxes(family, [1.0, 0.0, 2.0, 3.0], 0.0, [3], 1)
+        too_deep = trees.MAX_SWEEP_EDGES.bit_length() + 1
+        with pytest.raises(ValidationError, match=str(trees.MAX_SWEEP_EDGES)):
+            trees.cell_fluxes(family, [1.0, 0.0], 0.0, [too_deep], 1)
