@@ -8,9 +8,7 @@ All output is deterministic for a fixed command line and seed.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,39 +26,7 @@ from .graph import MetricGraph, graph_report
 from .measure import ClopenSet, SimpleBoundaryFunction, combine
 from .trees import AlphaBetaSpec, add_shortcut_edges, address_index, generate_ab_tree
 
-__all__ = ["main", "RunConfig"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated inputs of one CLI run."""
-
-    command: str
-    graph_file: str | None = None
-    family: AlphaBetaSpec | None = None
-    data_spec: str | None = None
-    f_spec: str | None = None
-    e_spec: str | None = None
-    tol: float = 1e-8
-    depth_range: tuple[int, int] | None = None
-    partition_depth: int | None = None
-    output: str | None = None
-    plot_data: str | None = None
-    solution_out: str | None = None
-    shortcuts: tuple[str, ...] = ()
-    seed: int = 0
-
-    def __post_init__(self):
-        if (self.graph_file is None) == (self.family is None):
-            raise ValidationError(
-                "exactly one input source required (graph file or family flags)"
-            )
-        if not (self.tol > 0.0 and math.isfinite(self.tol)):
-            raise ValidationError(
-                f"tolerance must be positive and finite, got {self.tol}"
-            )
-        if self.depth_range is not None and self.depth_range[1] < self.depth_range[0]:
-            raise ValidationError(f"empty depth range {self.depth_range}")
+__all__ = ["main"]
 
 
 def _parse_float(token: str, what: str) -> float:
@@ -181,10 +147,12 @@ def _parse_boundary_data(g: MetricGraph, spec: str) -> dict[int, float]:
     return data
 
 
-def _load_graph(config: RunConfig) -> MetricGraph:
-    if config.graph_file is not None:
-        return fileio.read_graph(config.graph_file)
-    return generate_ab_tree(config.family)
+def _load_graph(args) -> MetricGraph:
+    if args.graph and args.alpha is not None:
+        raise ValidationError("give either --graph or family flags, not both")
+    if args.graph is not None:
+        return fileio.read_graph(args.graph)
+    return generate_ab_tree(_family_from_args(args))
 
 
 def _print_report(g: MetricGraph) -> None:
@@ -200,18 +168,10 @@ def _print_report(g: MetricGraph) -> None:
 
 
 def _cmd_generate(args) -> int:
-    family = _family_from_args(args)
-    config = RunConfig(
-        command="generate",
-        family=family,
-        output=args.output,
-        shortcuts=tuple(args.shortcut or ()),
-        seed=args.seed,
-    )
-    g = generate_ab_tree(family)
-    if config.shortcuts:
+    g = generate_ab_tree(_family_from_args(args))
+    if args.shortcut:
         parsed = []
-        for spec in config.shortcuts:
+        for spec in args.shortcut:
             fields = spec.split(",")
             if len(fields) != 3:
                 raise ValidationError(
@@ -224,7 +184,7 @@ def _cmd_generate(args) -> int:
                     _parse_float(fields[2], "shortcut length"),
                 )
             )
-        g, short_report = add_shortcut_edges(g, parsed, seed=config.seed)
+        g, short_report = add_shortcut_edges(g, parsed, seed=args.seed)
         print(f"shortcuts {short_report.shortcut_count}")
         print(
             "shortcut-lengths-nonincreasing "
@@ -232,7 +192,7 @@ def _cmd_generate(args) -> int:
         )
         print(f"distortion-bound {short_report.distortion_bound:.12g}")
         print(f"sampled-pairs {short_report.sampled_pairs}")
-    fileio.write_graph(g, config.output)
+    fileio.write_graph(g, args.output)
     _print_report(g)
     return 0
 
@@ -265,67 +225,38 @@ def _summarize_solution(g, sol, system) -> None:
 
 
 def _cmd_solve(args) -> int:
-    if args.graph and args.alpha is not None:
-        raise ValidationError("give either --graph or family flags, not both")
-    config = RunConfig(
-        command="solve",
-        graph_file=args.graph,
-        family=None if args.graph else _family_from_args(args),
-        data_spec=args.data,
-        solution_out=args.solution_out,
-    )
-    g = _load_graph(config)
-    data = _parse_boundary_data(g, config.data_spec)
+    g = _load_graph(args)
+    data = _parse_boundary_data(g, args.data)
     system = InteriorSystem(g)
     sol = solve_dirichlet(g, data, system=system)
     print(f"condition-estimate {system.condition_estimate:.6g}")
     _summarize_solution(g, sol, system)
-    if config.solution_out:
-        fileio.write_solution(sol, config.solution_out)
+    if args.solution_out:
+        fileio.write_solution(sol, args.solution_out)
     return 0
 
 
 def _cmd_dn(args) -> int:
-    if args.graph and args.alpha is not None:
-        raise ValidationError("give either --graph or family flags, not both")
-    config = RunConfig(
-        command="dn",
-        graph_file=args.graph,
-        family=None if args.graph else _family_from_args(args),
-        output=args.output,
-    )
-    g = _load_graph(config)
+    g = _load_graph(args)
     dn = dn_matrix(g)
     for v, row in zip(dn.boundary, dn.matrix):
         print(f"row {v}" + "".join(f" {x:.12g}" for x in row))
     print(f"symmetry-residual {dn.symmetry_residual():.6g}")
     print(f"min-eigenvalue {dn.min_eigenvalue():.12g}")
-    if all(e.kappa2 == 0.0 for e in g.edges):
+    if not g.edge_table[3].any():
         print(f"constant-nullspace-residual {dn.constant_residual():.6g}")
-    if config.output:
-        fileio.write_dn_matrix(dn, config.output)
+    if args.output:
+        fileio.write_dn_matrix(dn, args.output)
     return 0
 
 
 def _cmd_converge(args) -> int:
     family = _family_from_args(args)
-    config = RunConfig(
-        command="converge",
-        family=family,
-        f_spec=args.boundary_function,
-        e_spec=args.target_set,
-        tol=args.tol,
-        depth_range=(args.min_depth or 2, args.max_depth),
-        output=args.output,
-        plot_data=args.plot_data,
-    )
-    f = _parse_function(family, config.f_spec)
-    e = _parse_set(family, config.e_spec)
-    start = max(
-        config.depth_range[0], f.min_truncation_depth, e.min_truncation_depth
-    )
+    f = _parse_function(family, args.boundary_function)
+    e = _parse_set(family, args.target_set)
+    start = max(args.min_depth or 2, f.min_truncation_depth, e.min_truncation_depth)
     report = measure.dn_function(
-        f, e, tol=config.tol, n_max=config.depth_range[1], n_min=start
+        f, e, tol=args.tol, n_max=args.max_depth, n_min=start
     )
     print("depth value residual")
     for i, (n, v) in enumerate(zip(report.depths, report.values)):
@@ -335,30 +266,17 @@ def _cmd_converge(args) -> int:
     print(f"limit {report.limit:.12g}")
     if report.extrapolated is not None:
         print(f"extrapolated {report.extrapolated:.12g}")
-    if config.output:
-        fileio.write_convergence(report, config.output)
-    if config.plot_data:
-        fileio.write_plot_data(report, config.plot_data)
+    if args.output:
+        fileio.write_convergence(report, args.output)
+    if args.plot_data:
+        fileio.write_plot_data(report, args.plot_data)
     return 0 if report.converged else 3
 
 
 def _cmd_measure(args) -> int:
-    family = _family_from_args(args)
-    config = RunConfig(
-        command="measure",
-        family=family,
-        f_spec=args.boundary_function,
-        tol=args.tol,
-        depth_range=(2, args.max_depth),
-        partition_depth=args.partition_depth,
-        output=args.output,
-    )
-    f = _parse_function(family, config.f_spec)
+    f = _parse_function(_family_from_args(args), args.boundary_function)
     table = measure.measure_table(
-        f,
-        partition_depth=config.partition_depth,
-        tol=config.tol,
-        n_max=config.depth_range[1],
+        f, partition_depth=args.partition_depth, tol=args.tol, n_max=args.max_depth
     )
     print("cell value residual converged")
     for cell, report in zip(table.cells, table.reports):
@@ -371,8 +289,8 @@ def _cmd_measure(args) -> int:
     print(f"positive-total {table.positive_total:.12g}")
     print(f"negative-total {table.negative_total:.12g}")
     print(f"signed-total {table.signed_total:.12g}")
-    if config.output:
-        fileio.write_measure_table(table, config.output)
+    if args.output:
+        fileio.write_measure_table(table, args.output)
     return 0 if table.converged else 3
 
 

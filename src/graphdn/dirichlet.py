@@ -24,7 +24,7 @@ import numpy as np
 from scipy.sparse import csc_matrix, csr_matrix, diags
 from scipy.sparse.linalg import LinearOperator, eigsh, onenormest, splu
 
-from .edge import SERIES_PRODUCT, EdgeSolution, edge_dn_blocks, edge_energy
+from .edge import EdgeSolution, edge_dn_blocks, edge_energies, edge_potential_weights
 from .errors import DomainError, SingularInteriorError, ValidationError
 from .graph import GraphPoint, MetricGraph
 
@@ -57,11 +57,9 @@ MAX_DN_BOUNDARY = 2**12 + 1
 
 def _edge_blocks(g: MetricGraph):
     """Per edge, in edge order: endpoints ``a``, ``b`` and the block ``(diag, off)``."""
-    ends = np.array([(e.a, e.b) for e in g.edges], dtype=np.intp)
-    diag, off = edge_dn_blocks(
-        [e.length for e in g.edges], [e.kappa2 for e in g.edges]
-    )
-    return ends[:, 0], ends[:, 1], diag, off
+    a, b, lengths, kappa2 = g.edge_table
+    diag, off = edge_dn_blocks(lengths, kappa2)
+    return a, b, diag, off
 
 
 def _outward(g: MetricGraph, values: np.ndarray):
@@ -82,32 +80,6 @@ def assemble(g: MetricGraph) -> csr_matrix:
     return csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
-def _interior_components_without_boundary(g: MetricGraph) -> list[tuple[int, ...]]:
-    interior = set(g.interior_vertices)
-    seen: set[int] = set()
-    bad: list[tuple[int, ...]] = []
-    for start in g.interior_vertices:
-        if start in seen:
-            continue
-        component = []
-        touches_boundary = False
-        stack = [start]
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            component.append(v)
-            for _, w in g.adjacency[v]:
-                if w in interior:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-                else:
-                    touches_boundary = True
-        if not touches_boundary:
-            bad.append(tuple(sorted(component)))
-    return bad
-
-
 class InteriorSystem:
     """Equilibrated factorization of the interior block of a vertex system.
 
@@ -116,17 +88,15 @@ class InteriorSystem:
     """
 
     def __init__(self, g: MetricGraph):
+        # build_graph refuses disconnected graphs, so once there is a
+        # boundary vertex every interior component touches the boundary and
+        # the interior block is positive definite: only an empty boundary
+        # makes it singular.
         if not g.boundary:
             raise SingularInteriorError(
                 "graph has no boundary vertex; the Dirichlet problem is "
                 "undetermined",
                 component=tuple(range(g.n_vertices)),
-            )
-        bad = _interior_components_without_boundary(g)
-        if bad:
-            raise SingularInteriorError(
-                f"interior component {bad[0]} has no boundary contact",
-                component=bad[0],
             )
         self.graph = g
         self.matrix = assemble(g)
@@ -304,9 +274,8 @@ def solve_dirichlet(
         )
         for e, c in zip(g.edges, c1)
     )
-    energy = 0.0
-    for s in solutions:
-        energy += edge_energy(s)
+    a, b, lengths, kappa2 = g.edge_table
+    energy = edge_energies(lengths, kappa2, values[a], values[b]).sum()
 
     bidx = np.asarray(sys_.boundary, dtype=np.intp)
     values.flags.writeable = False
@@ -382,20 +351,12 @@ class CurrentBalance:
     residual: float
 
 
-def _edge_potential_integral(s: EdgeSolution) -> float:
-    # int_e kappa2 * u dx = kappa (uA + uB) tanh(kappa l / 2) for kappa > 0.
-    kappa = math.sqrt(s.kappa2)
-    z = kappa * s.length
-    total = s.value_a + s.value_b
-    if z < SERIES_PRODUCT:
-        return s.kappa2 * total * (s.length / 2.0) * (1.0 - z * z / 12.0)
-    return kappa * total * math.tanh(0.5 * z)
-
-
 def current_balance(sol: DirichletSolution) -> CurrentBalance:
     """Conservation of current: boundary flux equals ``int u * kappa2``."""
     flux = sol.flux_sum()
-    integral = sum(_edge_potential_integral(s) for s in sol.edge_solutions)
+    a, b, lengths, kappa2 = sol.graph.edge_table
+    weights = edge_potential_weights(lengths, kappa2)
+    integral = weights @ (sol.values[a] + sol.values[b])
     return CurrentBalance(
         flux_sum=float(flux),
         potential_integral=float(integral),
@@ -465,7 +426,7 @@ def max_principle_check(
     """
     lo = float(sol.boundary_values.min())
     hi = float(sol.boundary_values.max())
-    if any(e.kappa2 > 0.0 for e in sol.graph.edges):
+    if sol.graph.edge_table[3].any():
         lo, hi = min(lo, 0.0), max(hi, 0.0)
     if hi == lo:
         return MaxPrincipleReport(

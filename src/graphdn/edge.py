@@ -28,6 +28,7 @@ __all__ = [
     "EdgeSolution",
     "edge_dn_block",
     "edge_dn_blocks",
+    "edge_energies",
     "edge_potential_weights",
     "solve_edge",
     "edge_energy",
@@ -35,12 +36,6 @@ __all__ = [
 
 SERIES_PRODUCT = 1e-6  # below this k*l: Taylor branch around the k=0 block
 ASYMPTOTIC_PRODUCT = 350.0  # above this k*l: coth -> 1, csch -> 2 exp(-k l)
-
-
-def _coth_csch(z: float) -> tuple[float, float]:
-    # coth z = (2 + E) / (-E), csch z = 2 exp(-z) / (-E), E = expm1(-2z) < 0.
-    em = math.expm1(-2.0 * z)
-    return -(2.0 + em) / em, -2.0 * math.exp(-z) / em
 
 
 @dataclass(frozen=True)
@@ -115,6 +110,38 @@ def edge_potential_weights(lengths, kappa2) -> np.ndarray:
     z = kappa * lengths
     series = kappa2 * lengths * (1.0 - z * z / 12.0) / 2.0
     return np.where(z < SERIES_PRODUCT, series, kappa * np.tanh(z / 2.0))
+
+
+def edge_energies(lengths, kappa2, value_a, value_b) -> np.ndarray:
+    """Energies ``int (u')^2 + kappa2 u^2`` of many edge solutions.
+
+    Each edge solution is pinned by its endpoint values ``(value_a,
+    value_b)``; all four arguments broadcast.  Uses the cancellation-free
+    regrouping
+
+        1/2 * [ (uA - uB)^2 k coth(k l / 2) + (uA + uB)^2 k tanh(k l / 2) ]
+
+    whose two terms are individually nonnegative.  ``k tanh`` is
+    :func:`edge_potential_weights`; ``k coth(z / 2)`` is
+    ``k (2 + E) / (-E)`` with ``E = expm1(-z)``, and below
+    ``SERIES_PRODUCT`` its Taylor form ``(2 + z**2 / 6) / l``.  Neither is
+    read off the flux block, so the energy checks that block independently.
+    """
+    lengths, kappa2 = _edge_arrays(lengths, kappa2)
+    kappa = np.sqrt(kappa2)
+    z = kappa * lengths
+    across = np.empty(z.shape)
+    series = z < SERIES_PRODUCT
+    hyper = ~series
+    across[series] = (2.0 + z[series] * z[series] / 6.0) / lengths[series]
+    em = np.expm1(-z[hyper])
+    across[hyper] = kappa[hyper] * (-(2.0 + em) / em)
+    along = edge_potential_weights(lengths, kappa2)
+    value_a = np.asarray(value_a, dtype=float)
+    value_b = np.asarray(value_b, dtype=float)
+    return 0.5 * (
+        (value_a - value_b) ** 2 * across + (value_a + value_b) ** 2 * along
+    )
 
 
 def edge_dn_block(length: float, kappa2: float) -> EdgeDNBlock:
@@ -214,20 +241,6 @@ def solve_edge(
 def edge_energy(s: EdgeSolution) -> float:
     """Closed-form value of ``int (u')^2 + kappa2 u^2`` over the edge.
 
-    Uses the cancellation-free regrouping
-
-        k/2 * [ (uA - uB)^2 coth(k l / 2) + (uA + uB)^2 tanh(k l / 2) ]
-
-    whose two terms are individually nonnegative; the tiny-``k l`` branch is
-    the Taylor limit ``(uB - uA)^2 / l + kappa2 l (uA^2 + uA uB + uB^2) / 3``.
+    One edge of :func:`edge_energies`.
     """
-    a, b = s.value_a, s.value_b
-    kappa = math.sqrt(s.kappa2)
-    z = kappa * s.length
-    if z < SERIES_PRODUCT:
-        diff = (b - a) ** 2 / s.length
-        mass = s.kappa2 * s.length * (a * a + a * b + b * b) / 3.0
-        return diff + mass
-    coth_half, _ = _coth_csch(0.5 * z)
-    tanh_half = math.tanh(0.5 * z)
-    return 0.5 * kappa * ((a - b) ** 2 * coth_half + (a + b) ** 2 * tanh_half)
+    return float(edge_energies(s.length, s.kappa2, s.value_a, s.value_b))

@@ -11,6 +11,9 @@ Graph file grammar (one record per line, fields space-separated, floats in
 
 Addresses are written with a leading ``@`` so the empty address stays
 visible; ``-`` marks a vertex with a level but no address (the tree root).
+The reader refuses a record with the wrong number of fields, an address
+outside ``{a, b}``, a second ``vertices`` or ``boundary`` record, and a
+second ``meta`` record for one vertex.
 Solution, Dirichlet-to-Neumann, convergence, and measure-table writers emit
 similar fixed-order records and are documented by example in the README.
 """
@@ -27,6 +30,7 @@ from .dirichlet import DirichletSolution, DNMatrix
 from .errors import ValidationError
 from .graph import Edge, MetricGraph, VertexMeta, build_graph
 from .measure import ConvergenceReport, MeasureTable
+from .trees import _validate_prefix
 
 __all__ = [
     "write_graph",
@@ -39,6 +43,8 @@ __all__ = [
 ]
 
 GRAPH_MAGIC = "graphdn-graph 1"
+# Field count of each graph record, its name included; None: any count.
+_RECORD_FIELDS = {"vertices": 2, "edge": 6, "boundary": None, "meta": 4}
 
 
 @contextmanager
@@ -52,6 +58,15 @@ def _writable(target):
 
 def _fmt_address(address: str | None) -> str:
     return "-" if address is None else "@" + address
+
+
+def _parse_address(token: str) -> str | None:
+    if token == "-":
+        return None
+    if not token.startswith("@"):
+        raise ValueError(f"address {token!r} lacks its '@'")
+    _validate_prefix(token[1:])  # a DomainError is a ValueError
+    return token[1:]
 
 
 def write_graph(g: MetricGraph, target) -> None:
@@ -84,8 +99,14 @@ def read_graph(source) -> MetricGraph:
     for ln in lines[1:]:
         fields = ln.split()
         kind = fields[0]
+        if kind not in _RECORD_FIELDS:
+            raise ValidationError(f"unknown record {kind!r} in graph file")
+        if _RECORD_FIELDS[kind] not in (None, len(fields)):
+            raise ValidationError(f"malformed graph record: {ln!r}")
         try:
             if kind == "vertices":
+                if declared is not None:
+                    raise ValidationError("graph file has two vertices records")
                 declared = int(fields[1])
             elif kind == "edge":
                 edges.append(
@@ -98,16 +119,15 @@ def read_graph(source) -> MetricGraph:
                     )
                 )
             elif kind == "boundary":
+                if boundary is not None:
+                    raise ValidationError("graph file has two boundary records")
                 boundary = [int(x) for x in fields[1:]]
-            elif kind == "meta":
-                v = int(fields[1])
-                level = int(fields[2])
-                token = fields[3]
-                address = None if token == "-" else token[1:]
-                meta[v] = VertexMeta(level=level, address=address)
             else:
-                raise ValidationError(f"unknown record {kind!r} in graph file")
-        except (IndexError, ValueError) as exc:
+                v = int(fields[1])
+                if v in meta:
+                    raise ValidationError(f"vertex {v} has two meta records")
+                meta[v] = VertexMeta(int(fields[2]), _parse_address(fields[3]))
+        except ValueError as exc:
             if isinstance(exc, ValidationError):
                 raise
             raise ValidationError(f"malformed graph record: {ln!r}") from exc

@@ -9,9 +9,14 @@ boundary as well, which models the relative boundary of a truncated subgraph
 of a larger ambient graph.
 
 Graphs are immutable after construction and safe to share between callers.
-Builders reject nonpositive lengths or weights, negative potentials, and
-disconnected graphs; loops and parallel edges are split at midpoints rather
-than rejected.
+Builders reject nonpositive lengths or weights, negative potentials,
+disconnected graphs and an address shared by two vertices; loops and
+parallel edges are split at midpoints rather than rejected.
+
+``MetricGraph.edges`` holds one :class:`Edge` per edge, the form files and
+callers see.  Numerical code reads ``MetricGraph.edge_table`` instead: the
+endpoints, lengths and potentials as read-only arrays in edge order, built
+once per graph.  Degrees and the vertex adjacency matrix come from it.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import DomainError, ValidationError
 
@@ -86,11 +91,23 @@ class MetricGraph:
     meta: tuple[VertexMeta | None, ...] | None = None
 
     @cached_property
+    def edge_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only edge arrays in edge order: ``(a, b, length, kappa2)``."""
+        m = len(self.edges)
+        table = (
+            np.fromiter((e.a for e in self.edges), np.intp, m),
+            np.fromiter((e.b for e in self.edges), np.intp, m),
+            np.fromiter((e.length for e in self.edges), float, m),
+            np.fromiter((e.kappa2 for e in self.edges), float, m),
+        )
+        for column in table:
+            column.flags.writeable = False
+        return table
+
+    @cached_property
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n_vertices, dtype=np.int64)
-        for e in self.edges:
-            deg[e.a] += 1
-            deg[e.b] += 1
+        a, b, _, _ = self.edge_table
+        deg = np.bincount(np.concatenate((a, b)), minlength=self.n_vertices)
         deg.flags.writeable = False
         return deg
 
@@ -118,13 +135,11 @@ class MetricGraph:
 
     @cached_property
     def _vertex_csr(self) -> csr_matrix:
-        rows, cols, vals = [], [], []
-        for e in self.edges:
-            rows += [e.a, e.b]
-            cols += [e.b, e.a]
-            vals += [e.length, e.length]
+        a, b, length, _ = self.edge_table
         return csr_matrix(
-            (vals, (rows, cols)), shape=(self.n_vertices, self.n_vertices)
+            (np.concatenate((length, length)),
+             (np.concatenate((a, b)), np.concatenate((b, a)))),
+            shape=(self.n_vertices, self.n_vertices),
         )
 
     def is_boundary(self, v: int) -> bool:
@@ -242,17 +257,16 @@ def build_graph(
     n = max(max(e.a, e.b) for e in edges) + 1
     edges, n = _subdivide_conflicts(edges, n)
 
-    deg = [0] * n
-    for e in edges:
-        deg[e.a] += 1
-        deg[e.b] += 1
-    for v in range(n):
-        if deg[v] == 0:
-            raise ValidationError(
-                f"vertex {v} has no incident edge", element=("vertex", v)
-            )
+    ends = np.array([(e.a, e.b) for e in edges], dtype=np.intp)
+    deg = np.bincount(ends.ravel(), minlength=n)
+    isolated = np.flatnonzero(deg == 0)
+    if len(isolated):
+        v = int(isolated[0])
+        raise ValidationError(
+            f"vertex {v} has no incident edge", element=("vertex", v)
+        )
 
-    degree_one = {v for v in range(n) if deg[v] == 1}
+    degree_one = set(np.flatnonzero(deg == 1).tolist())
     if boundary is None:
         bset = frozenset(degree_one)
     else:
@@ -270,22 +284,13 @@ def build_graph(
                 element=("vertex", v),
             )
 
-    # Connectivity by breadth-first search.
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for e in edges:
-        adj[e.a].append(e.b)
-        adj[e.b].append(e.a)
-    reached = [False] * n
-    stack = [0]
-    reached[0] = True
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if not reached[w]:
-                reached[w] = True
-                stack.append(w)
-    if not all(reached):
-        v = reached.index(False)
+    # Unit weights: the connectivity of the edges themselves, whatever
+    # their lengths or flux blocks.
+    links = csr_matrix((np.ones(len(edges)), (ends[:, 0], ends[:, 1])), shape=(n, n))
+    _, labels = connected_components(links, directed=False)
+    unreached = np.flatnonzero(labels != labels[0])
+    if len(unreached):
+        v = int(unreached[0])
         raise ValidationError(
             f"graph is not connected: vertex {v} is unreachable from vertex 0",
             element=("vertex", v),
@@ -293,11 +298,19 @@ def build_graph(
 
     meta_tuple: tuple[VertexMeta | None, ...] | None = None
     if meta is not None:
-        for v in meta:
+        owners: dict[str, int] = {}
+        for v, m in meta.items():
             if not (0 <= v < n):
                 raise ValidationError(
                     f"metadata refers to unknown vertex {v}", element=("vertex", v)
                 )
+            if m is not None and m.address is not None:
+                owner = owners.setdefault(m.address, v)
+                if owner != v:
+                    raise ValidationError(
+                        f"vertices {owner} and {v} share the address @{m.address}",
+                        element=("vertex", v),
+                    )
         meta_tuple = tuple(meta.get(v) for v in range(n))
 
     return MetricGraph(

@@ -31,7 +31,10 @@ from .errors import DomainError, ValidationError
 from .trees import (
     ADDRESS_ALPHABET,
     AlphaBetaSpec,
+    _compatible,
+    _validate_prefix,
     cell_fluxes,
+    cylinder_leaves,
     cylinder_slice,
 )
 
@@ -61,19 +64,11 @@ def _addresses(depth: int) -> list[str]:
     return out
 
 
-def _validate_prefixes(prefixes: Iterable[str]) -> list[str]:
-    out = []
-    for p in prefixes:
-        for ch in p:
-            if ch not in ADDRESS_ALPHABET:
-                raise DomainError(f"invalid address symbol {ch!r} in prefix {p!r}")
-        out.append(p)
-    return out
-
-
 def _normalize(prefixes: Iterable[str]) -> tuple[str, ...]:
     """Canonical antichain: drop nested prefixes, merge full sibling pairs."""
-    pool = set(_validate_prefixes(prefixes))
+    pool = set(prefixes)
+    for p in pool:
+        _validate_prefix(p)
     pool = {
         p for p in pool if not any(q != p and p.startswith(q) for q in pool)
     }
@@ -168,11 +163,9 @@ class ClopenSet:
     def disjoint_from(self, other: "ClopenSet") -> bool:
         if self.include_root and other.include_root:
             return False
-        for p in self.prefixes:
-            for q in other.prefixes:
-                if p.startswith(q) or q.startswith(p):
-                    return False
-        return True
+        return not any(
+            _compatible(p, q) for p in self.prefixes for q in other.prefixes
+        )
 
     def contains_cell(self, address: str) -> bool:
         """Whether the depth cell headed by ``address`` lies in the set.
@@ -202,27 +195,17 @@ class ClopenSet:
     def resolve(self, graph) -> tuple[int, ...]:
         """Boundary vertices of a truncation graph carrying this set's cells.
 
-        A leaf carries the set when its address and a set prefix extend one
-        another; the root boundary vertex when ``include_root`` is set.
+        The ascending union of :func:`cylinder_leaves` over the prefixes,
+        plus the root boundary vertex when ``include_root`` is set.
         """
         if graph.meta is None:
             raise DomainError("graph carries no address metadata")
-        verts = []
-        has_root = False
-        for v in graph.boundary_vertices:
-            m = graph.meta[v]
-            if m is None:
-                continue
-            if m.address is None:
-                has_root = True
-                if self.include_root:
-                    verts.append(v)
-            elif any(m.address.startswith(p) or p.startswith(m.address)
-                     for p in self.prefixes):
-                verts.append(v)
-        if self.include_root and not has_root:
-            raise DomainError("graph has no root boundary vertex")
-        return tuple(verts)
+        verts = set()
+        for p in self.prefixes:
+            verts.update(cylinder_leaves(graph, p))
+        if self.include_root:
+            verts.add(cylinder_leaves(graph, "", include_root_vertex=True)[0])
+        return tuple(sorted(verts))
 
     def flux(self, cells: np.ndarray, root: float) -> float:
         """Outward flux of one truncation through the set.

@@ -95,7 +95,7 @@ def random_walk_oracle(
     Requires a potential-free graph and a ``step`` that divides every edge
     length.  Returns unbiased estimates with their binomial standard errors.
     """
-    if any(e.kappa2 != 0.0 for e in g.edges):
+    if g.edge_table[3].any():
         raise DomainError("random walk oracle requires kappa2 = 0 on every edge")
     if walkers < 1:
         raise DomainError(f"walker count must be positive, got {walkers}")

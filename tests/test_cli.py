@@ -239,6 +239,10 @@ def test_config_file_errors(tmp_path, capsys):
           "--data", "0=nan,default=0"], "nan"),
         (["converge", "--alpha", "0.5", "--F", "nan*cyl:a", "--E", "v0"], "nan"),
         (["measure", "--alpha", "0.5", "--F", "inf*cyl:a"], "non-finite"),
+        (["converge", "--alpha", "0.5", "--F", "cyl:a", "--E", "cyl:b",
+          "--min-depth", "10", "--max-depth", "8"], "below the starting depth 10"),
+        (["measure", "--alpha", "0.5", "--F", "cyl:a", "--tol", "nan"],
+         "tolerance must be positive and finite, got nan"),
     ],
 )
 def test_malformed_input_exits_2(argv, token, tmp_path, monkeypatch, capsys):

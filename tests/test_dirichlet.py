@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from graphdn import dirichlet
+from graphdn import dirichlet, edge
 from graphdn.dirichlet import (
     InteriorSystem,
     assemble,
@@ -15,6 +15,7 @@ from graphdn.dirichlet import (
     max_principle_check,
     solve_dirichlet,
 )
+from graphdn.edge import edge_energy
 from graphdn.errors import SingularInteriorError, ValidationError
 from graphdn.graph import build_graph
 from graphdn.trees import AlphaBetaSpec, cylinder_leaves, generate_ab_tree
@@ -193,6 +194,28 @@ class TestIdentities:
         assert math.isclose(ei.form_value, reference, rel_tol=1e-12)
         assert abs(ei.residual) <= 1e-12 * ei.energy
 
+    def test_energy_identity_sees_a_wrong_block(self, monkeypatch):
+        # The edge energies never read the flux block, so a wrong diagonal,
+        # which the solve and its boundary derivatives share, shows in the
+        # residual instead of cancelling.  The block is skewed where the
+        # energies would look it up too.
+        g = generate_ab_tree(
+            AlphaBetaSpec(alpha=0.3, depth=6, kappa2_per_level=(2.0, 1.0))
+        )
+        data = {v: float(v % 3) - 1.0 for v in g.boundary_vertices}
+        honest = energy_identity(solve_dirichlet(g, data))
+        assert abs(honest.residual) <= 1e-12 * honest.energy
+        blocks = dirichlet.edge_dn_blocks
+
+        def skewed(lengths, kappa2):
+            diag, off = blocks(lengths, kappa2)
+            return diag * (1.0 + 1e-3), off
+
+        monkeypatch.setattr(dirichlet, "edge_dn_blocks", skewed)
+        monkeypatch.setattr(edge, "edge_dn_blocks", skewed)
+        ei = energy_identity(solve_dirichlet(g, data))
+        assert abs(ei.residual) / ei.energy > 1e-4
+
     def test_identity_residuals_on_corpus(self):
         rng = np.random.default_rng(17)
         for g in graph_corpus(30, seed=9):
@@ -221,6 +244,10 @@ class TestIdentities:
             residuals, scales = sol.kirchhoff_residuals()
             assert np.all(residuals <= 1e-8 * np.maximum(scales, 1.0))
             assert sol.energy >= 0.0
+            # Pairwise array sum against the exactly rounded sum of the
+            # scalar edge energies.
+            exact = math.fsum(edge_energy(s) for s in sol.edge_solutions)
+            assert abs(sol.energy - exact) <= 64 * np.finfo(float).eps * exact
 
 
 class TestMaxPrinciple:

@@ -10,6 +10,7 @@ from graphdn.edge import (
     SERIES_PRODUCT,
     edge_dn_block,
     edge_dn_blocks,
+    edge_energies,
     edge_energy,
     edge_potential_weights,
     solve_edge,
@@ -182,6 +183,43 @@ class TestEnergy:
             assert math.isclose(
                 edge_energy(s), quad_energy(s), rel_tol=1e-8, abs_tol=1e-12
             )
+
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_series_branch_against_mpmath(self, sign):
+        # Endpoint values nearly equal (sign 1) or nearly opposite (sign -1)
+        # just below SERIES_PRODUCT: the energy is almost all tanh (or coth)
+        # term, whose z**2 / 12 correction is about 1e-13 of it.
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(11)
+        worst = 0.0
+        with mpmath.workdps(50):
+            for _ in range(300):
+                length = float(rng.uniform(0.1, 10.0))
+                z = float(rng.uniform(1e-7, 1e-6))
+                kappa2 = (z / length) ** 2
+                ua = float(rng.uniform(-3.0, 3.0))
+                ub = sign * ua * (1.0 + 1e-9)
+                k, half = mpmath.sqrt(kappa2), mpmath.sqrt(kappa2) * length / 2
+                exact = (
+                    (mpmath.mpf(ua) - ub) ** 2 * k * mpmath.coth(half)
+                    + (mpmath.mpf(ua) + ub) ** 2 * k * mpmath.tanh(half)
+                ) / 2
+                ours = edge_energy(solve_edge(length, kappa2, ua, ub))
+                worst = max(worst, float(abs(ours - exact) / exact))
+        assert worst <= 8 * np.finfo(float).eps
+
+    def test_array_matches_scalar_on_every_branch(self):
+        # kappa2 0 and 1e-14: series; 4: hyperbolic; 2.5e5 at length 2:
+        # beyond ASYMPTOTIC_PRODUCT, where the block's off entry underflows.
+        lengths = np.repeat([[0.5, 1.0, 2.0]], 4, axis=0).ravel()
+        kappa2 = np.repeat([0.0, 1e-14, 4.0, 2.5e5], 3)
+        rng = np.random.default_rng(12)
+        ua, ub = rng.uniform(-2.0, 2.0, size=(2, len(lengths)))
+        energies = edge_energies(lengths, kappa2, ua, ub)
+        for i in range(len(lengths)):
+            s = solve_edge(float(lengths[i]), float(kappa2[i]), ua[i], ub[i])
+            assert energies[i] == edge_energy(s)
 
 
 class TestExtremum:

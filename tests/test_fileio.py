@@ -1,7 +1,9 @@
 import io
+import re
 
 import pytest
 
+from graphdn.cli import main
 from graphdn.dirichlet import dn_matrix, solve_dirichlet
 from graphdn.errors import ValidationError
 from graphdn.fileio import (
@@ -68,6 +70,40 @@ def test_writer_is_canonical():
 def test_read_errors(text, fragment):
     with pytest.raises(ValidationError, match=fragment):
         read_graph(io.StringIO(text))
+
+
+DEPTH3 = graph_to_string(generate_ab_tree(AlphaBetaSpec(alpha=0.5, depth=3)))
+
+
+@pytest.mark.parametrize(
+    "old, new, fragment",
+    [
+        ("meta 2 2 @a", "meta 2 2 xa", "malformed graph record: 'meta 2 2 xa'"),
+        ("meta 4 3 @aa", "meta 4 3 @zz", "malformed graph record: 'meta 4 3 @zz'"),
+        ("boundary 0 4 5 6 7", "boundary 0 4 5 6 7\nboundary 0 4 5 6 7 1",
+         "two boundary records"),
+        ("meta 3 2 @b", "meta 3 2 @b\nmeta 3 2 @ba", "vertex 3 has two meta"),
+        ("meta 5 3 @ab", "meta 5 3 @aa", "vertices 4 and 5 share the address @aa"),
+        ("edge 0 1 1.0 0.3333333333333333 0.0",
+         "edge 0 1 1.0 0.3333333333333333 0.0 extra", "malformed graph record"),
+        ("vertices 8", "vertices 8\nvertices 8", "two vertices records"),
+    ],
+    ids=[
+        "address-without-at", "address-symbol", "second-boundary", "second-meta",
+        "shared-address", "edge-extra-field", "second-vertices",
+    ],
+)
+def test_malformed_graph_file_exits_2(old, new, fragment, tmp_path, capsys):
+    assert old in DEPTH3
+    text = DEPTH3.replace(old, new)
+    with pytest.raises(ValidationError, match=re.escape(fragment)):
+        read_graph(io.StringIO(text))
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    assert main(["solve", "--graph", str(path), "--data", "default=0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and fragment in err
+    assert "Traceback" not in err
 
 
 def test_solution_records():

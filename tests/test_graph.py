@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from graphdn.edge import edge_dn_block
 from graphdn.errors import DomainError, ValidationError
 from graphdn.graph import (
     GraphPoint,
@@ -59,11 +60,27 @@ class TestBuildGraph:
             ([(0, 1, 1.0, 1.0, -0.5)], "potential"),
             ([], "at least one edge"),
             ([(0, 1, 1.0), (2, 3, 1.0)], "not connected"),
+            ([(0, 1, 1.0), (4, 5, 1.0), (3, 2, 1.0)], "vertex 2 is unreachable"),
         ],
     )
     def test_validation_errors(self, edges, fragment):
         with pytest.raises(ValidationError, match=fragment):
             build_graph(edges)
+
+    def test_underflowing_block_still_connects(self):
+        # kappa * l = 1000: the flux block's off entry underflows to 0, but
+        # the edge still joins its endpoints.
+        assert edge_dn_block(1.0, 1e6).h_ab == 0.0
+        g = build_graph([(0, 1, 1.0, 1.0, 1e6), (1, 2, 1.0)])
+        assert g.n_vertices == 3 and g.boundary == {0, 2}
+
+    def test_edge_table(self):
+        g = build_graph([(2, 0, 0.5, 3.0, 4.0), (0, 1, 1.5)])
+        a, b, length, kappa2 = g.edge_table
+        assert a.tolist() == [2, 0] and b.tolist() == [0, 1]
+        assert length.tolist() == [0.5, 1.5] and kappa2.tolist() == [4.0, 0.0]
+        assert not any(column.flags.writeable for column in g.edge_table)
+        assert g.degrees.tolist() == [2, 1, 1]
 
     def test_degree_one_must_be_boundary(self):
         with pytest.raises(ValidationError, match="degree-one"):
