@@ -147,11 +147,14 @@ class InteriorSystem:
             return 1.0
         if n <= 64:
             return float(np.linalg.cond(self._scaled.toarray(), 1))
-        norm_a = onenormest(self._scaled)
+        # ||A||_1 exactly, from column sums; ||A^-1||_1 estimated with one
+        # column (t = 1), which starts from the ones vector and draws no
+        # random vectors, so the estimate does not depend on numpy's RNG.
+        norm_a = abs(self._scaled).sum(axis=0).max()
         inv = LinearOperator(
             (n, n), matvec=self._lu.solve, rmatvec=self._lu.solve
         )
-        norm_inv = onenormest(inv)
+        norm_inv = onenormest(inv, t=1)
         return float(norm_a * norm_inv)
 
 

@@ -103,13 +103,19 @@ def edge_potential_weights(lengths, kappa2) -> np.ndarray:
     ``w = diag + off = kappa tanh(z / 2)``, the sum of its outward endpoint
     derivatives per unit value.  ``w`` is evaluated directly, not as that
     sum, which cancels for small ``z``: below ``SERIES_PRODUCT`` as
-    ``kappa2 l (1 - z**2 / 12) / 2``, exactly 0 without a potential.
+    ``kappa2 l (1 - z**2 / 12) / 2``, exactly 0 without a potential.  Each
+    branch is evaluated on its own edges only, as in :func:`edge_dn_blocks`.
     """
     lengths, kappa2 = _edge_arrays(lengths, kappa2)
     kappa = np.sqrt(kappa2)
     z = kappa * lengths
-    series = kappa2 * lengths * (1.0 - z * z / 12.0) / 2.0
-    return np.where(z < SERIES_PRODUCT, series, kappa * np.tanh(z / 2.0))
+    w = np.empty(z.shape)
+    series = z < SERIES_PRODUCT
+    hyper = ~series
+    zs = z[series]
+    w[series] = kappa2[series] * lengths[series] * (1.0 - zs * zs / 12.0) / 2.0
+    w[hyper] = kappa[hyper] * np.tanh(z[hyper] / 2.0)
+    return w
 
 
 def edge_energies(lengths, kappa2, value_a, value_b) -> np.ndarray:

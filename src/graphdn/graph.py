@@ -22,9 +22,10 @@ once per graph.  Degrees and the vertex adjacency matrix come from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -179,14 +180,23 @@ def _coerce_edges(descriptors: Iterable) -> list[Edge]:
     return out
 
 
-def _validate_edge_fields(edges: Sequence[Edge]) -> None:
+def _endpoint_error(i: int, e: Edge) -> ValidationError:
+    return ValidationError(
+        f"edge {i}: endpoint ids must be nonnegative integers, got ({e.a}, {e.b})",
+        element=("edge", i),
+    )
+
+
+def _validate_edge_fields(edges: list[Edge]) -> None:
     for i, e in enumerate(edges):
-        if not (isinstance(e.a, int) and isinstance(e.b, int)) or e.a < 0 or e.b < 0:
-            raise ValidationError(
-                f"edge {i}: endpoint ids must be nonnegative integers, "
-                f"got ({e.a}, {e.b})",
-                element=("edge", i),
-            )
+        if not (isinstance(e.a, int) and isinstance(e.b, int)):
+            if not all(isinstance(x, numbers.Integral) for x in (e.a, e.b)):
+                raise _endpoint_error(i, e)
+            # Numpy integer ids are stored as Python ints, which files print
+            # alike.
+            e = edges[i] = replace(e, a=int(e.a), b=int(e.b))
+        if e.a < 0 or e.b < 0:
+            raise _endpoint_error(i, e)
         if not (e.length > 0.0 and math.isfinite(e.length)):
             raise ValidationError(
                 f"edge {i}: length must be positive and finite, got {e.length}",

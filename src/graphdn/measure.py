@@ -31,6 +31,7 @@ from .errors import DomainError, ValidationError
 from .trees import (
     ADDRESS_ALPHABET,
     AlphaBetaSpec,
+    _check_cell_depth,
     _compatible,
     _validate_prefix,
     cell_fluxes,
@@ -57,7 +58,12 @@ CONSECUTIVE_BELOW_TOL = 3
 
 
 def _addresses(depth: int) -> list[str]:
-    """All addresses of this length, in address order."""
+    """All addresses of this length, in address order.
+
+    Refuses, before enumerating them, cells that no truncation within
+    ``MAX_SWEEP_EDGES`` resolves.
+    """
+    _check_cell_depth(depth)
     out = [""]
     for _ in range(depth):
         out = [a + ch for a in out for ch in ADDRESS_ALPHABET]

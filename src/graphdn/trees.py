@@ -30,6 +30,7 @@ __all__ = [
     "AlphaBetaSpec",
     "MAX_GRAPH_EDGES",
     "MAX_SWEEP_EDGES",
+    "class_lengths",
     "level_lengths",
     "LevelSolution",
     "level_sweep",
@@ -54,13 +55,13 @@ ADDRESS_ALPHABET = ("a", "b")
 # VertexMeta objects, addresses and build_graph's lists); a level sweep took
 # 56 MB at depth 20 and 227 MB at depth 22 (about 57 B per edge).
 # MAX_SWEEP_EDGES bounds the truncation depth n of level_sweep and
-# cell_fluxes.  cell_fluxes tabulates subtrees per level and distinct edge
-# length (a few hundred lengths per level at depth 24) and sweeps only the
-# 2**M cells read, one row per depth above M, so at most 2**(n - 1) cell
-# entries: about 0.4 MB for exhaustion through shallow cells at depth 24, and
-# 0.83 GB (104 B per entry, traced) through a depth-23 cell.  Each
-# ceiling keeps one call under about 1 GB: depth 20 (0.7 GB predicted) for
-# the graph, depth 24 for the sweep.
+# cell_fluxes, and so the depth M < n of the cells read.  cell_fluxes
+# tabulates subtrees per level and class (k classes at level k, 300 in all
+# at depth 24) and sweeps only the 2**M cells read, one row per depth above
+# M, so at most 2**(n - 1) cell entries: 0.08 MB (traced) for exhaustion
+# through shallow cells at depth 24, and 0.76 GB (90 B per entry) through
+# a depth-23 cell.  Each ceiling keeps one call under about 1 GB: depth 20
+# (0.7 GB predicted) for the graph, depth 24 for the sweep.
 MAX_GRAPH_EDGES = 2**20 - 1
 MAX_SWEEP_EDGES = 2**24 - 1
 
@@ -137,19 +138,62 @@ def _check_depth(spec: AlphaBetaSpec, max_edges: int, what: str) -> None:
         )
 
 
+def _check_cell_depth(depth: int) -> None:
+    """Refuse cells too deep for any truncation under ``MAX_SWEEP_EDGES``.
+
+    Depth-``M`` cells resolve from depth ``M + 1`` on; callers check this
+    before they enumerate the ``2**M`` cells.
+    """
+    largest = (MAX_SWEEP_EDGES + 1).bit_length() - 1
+    if depth >= largest:
+        raise ValidationError(
+            f"depth-{depth} cells need a truncation past the level-array limit "
+            f"of {MAX_SWEEP_EDGES} edges (deepest cells {largest - 1})"
+        )
+
+
+def class_lengths(spec: AlphaBetaSpec) -> list[np.ndarray]:
+    """Edge lengths of the truncation per level and b-count.
+
+    This is the family's one length formula.  Entry ``k - 1`` holds the
+    ``k`` class lengths of level ``k``: an edge reached from the root edge
+    by ``i`` b-steps and ``k - 1 - i`` a-steps has length
+    ``root_length * alpha**(k - 1 - i) * beta**i``, so the edges of a class,
+    and the subtrees below them, are equal.  Each length is that product of
+    the three floats, exact as a ratio of integers and rounded once (within
+    half an ulp).  Refuses depths beyond ``MAX_SWEEP_EDGES``.
+    """
+    _check_depth(spec, MAX_SWEEP_EDGES, "level-array")
+    # Each product is held as an exact ratio of Python ints, whose true
+    # division rounds once.
+    (an, ad), (bn, bd) = spec.alpha.as_integer_ratio(), spec.beta.as_integer_ratio()
+    ratios, levels = [spec.root_length.as_integer_ratio()], []
+    for _ in range(spec.depth):
+        levels.append(np.array([n / d for n, d in ratios]))
+        # Class i one level down: an a-step from class i, or for the last
+        # class a b-step from the class above it.
+        last_n, last_d = ratios[-1]
+        ratios = [(n * an, d * ad) for n, d in ratios] + [(last_n * bn, last_d * bd)]
+    return levels
+
+
+def _b_counts(depth: int) -> list[np.ndarray]:
+    """Per level, each edge's number of b-steps (its class), in address order."""
+    counts = [np.zeros(1, dtype=np.uint8)]
+    step = np.array([0, 1], dtype=np.uint8)
+    for _ in range(depth - 1):
+        counts.append((counts[-1][:, None] + step).ravel())
+    return counts
+
+
 def level_lengths(spec: AlphaBetaSpec) -> list[np.ndarray]:
     """Edge lengths of the truncation, one array per level.
 
     Entry ``k`` holds the level-``k + 1`` edges in address order (entry 0
-    is the root edge); each level is the outer product of the one above
-    with ``(alpha, beta)``.  Refuses depths beyond ``MAX_SWEEP_EDGES``.
+    is the root edge), each its class's length from :func:`class_lengths`.
+    Refuses depths beyond ``MAX_SWEEP_EDGES``.
     """
-    _check_depth(spec, MAX_SWEEP_EDGES, "level-array")
-    levels = [np.array([spec.root_length])]
-    split = np.array([spec.alpha, spec.beta])
-    for _ in range(spec.depth - 1):
-        levels.append(np.outer(levels[-1], split).ravel())
-    return levels
+    return [x[i] for x, i in zip(class_lengths(spec), _b_counts(spec.depth))]
 
 
 def generate_ab_tree(spec: AlphaBetaSpec) -> MetricGraph:
@@ -301,28 +345,28 @@ def cell_fluxes(
     derivatives) and ``root[i]`` its root flux.
 
     Below level ``M`` every subtree has constant data ``c``, and its edges
-    follow from its top edge's level and float length, since
-    :func:`level_lengths` derives each child's length from its parent's by
-    one multiplication.  So subtrees are tabulated per level and distinct
-    top length (``O(k**2)`` of them at level ``k``, against ``2**(k-1)``
-    edges).  With ``u`` the value above its top edge, a subtree draws
-    ``Y u + J`` through that edge, ``J = T c``, and holds the potential
-    integral ``A u + B c``.  One table row per depth carries these from the
-    leaves to level ``M + 1`` by the elimination step of
-    :func:`level_sweep`, with ``J`` and ``B c`` carried per distinct data
-    value, so that each subtree's ``Y`` and ``J`` come from the very
-    operations the sweep applies to it.  Only the top ``M`` levels are
-    swept edge by edge, and their vertex values are the sweep's, bit for
-    bit.  By current balance a cell's flux is ``A u + B c - (Y u + J)`` on
-    its top edge, which the symmetry of the subtree's two-terminal map
-    turns into the cancellation-free ``T u + (B c - J)``; no leaf flux is
-    summed.
+    follow from its top edge's class, the level and b-count that fix its
+    length in :func:`class_lengths`.  So subtrees are tabulated per level
+    and class (``k`` of them at level ``k``, against ``2**(k-1)`` edges),
+    and a class's children are its own and the next class one level down.
+    With ``u`` the value above its top edge, a subtree draws ``Y u + J``
+    through that edge, ``J = T c``, and holds the potential integral
+    ``A u + B c``.  One table row per depth carries these from the leaves
+    to level ``M + 1`` by the elimination step of :func:`level_sweep`,
+    adding the a-child first as the sweep does, with ``J`` and ``B c``
+    carried per distinct data value, so that each subtree's ``Y`` and ``J``
+    come from the very operations the sweep applies to it.  Only the top
+    ``M`` levels are swept edge by edge, and their vertex values are the
+    sweep's, bit for bit.  By current balance a cell's flux is
+    ``A u + B c - (Y u + J)`` on its top edge, which the symmetry of the
+    subtree's two-terminal map turns into the cancellation-free
+    ``T u + (B c - J)``; no leaf flux is summed.
     """
     depths = np.asarray(depths, dtype=int)
     if not len(depths):
         raise DomainError("no truncation depths given")
     n_max = int(depths.max())
-    _check_depth(replace(family, depth=n_max), MAX_SWEEP_EDGES, "level-array")
+    levels = class_lengths(replace(family, depth=n_max))
     cell_values = np.asarray(cell_values, dtype=float)
     given = len(cell_values).bit_length() - 1
     if len(cell_values) != 1 << given:
@@ -339,26 +383,16 @@ def cell_fluxes(
     _check_finite(cell_values, root_value, "cell")
     kappa2 = [family.kappa2_at_level(k + 1) for k in range(n_max)]
 
-    # The distinct lengths of each level, the positions of each one's a- and
-    # b-children in the next level's, and the class of every edge of levels
-    # 1 .. top + 1 (the last are the cells' top edges).
-    levels, children, address = [np.array([family.root_length])], [], [[0]]
-    split = np.array([family.alpha, family.beta])
-    for k in range(1, n_max):
-        products = (levels[-1][:, None] * split).ravel()
-        distinct = np.unique(products)
-        index = np.searchsorted(distinct, products)
-        levels.append(distinct)
-        children.append((index[0::2], index[1::2]))
-        if k <= top:
-            address.append(index.reshape(-1, 2)[address[-1]].ravel())
-    potentials = np.repeat(kappa2, [len(x) for x in levels])
+    # Level k's classes sit at flat[k (k - 1) / 2 : k (k + 1) / 2]; every
+    # edge of levels 1 .. top + 1 (the last are the cells' top edges) reads
+    # its class by its b-count.
     flat = np.concatenate(levels)
+    potentials = np.repeat(kappa2, range(1, n_max + 1))
     d, o = edge_dn_blocks(flat, potentials)
     w = edge_potential_weights(flat, potentials)
-    ends = np.cumsum([len(x) for x in levels]).tolist()
-    spans = [slice(end - len(lv), end) for lv, end in zip(levels, ends)]
-    blocks = [(d[s][i], o[s][i]) for s, i in zip(spans, address[:top])]
+    spans = [slice(k * (k - 1) // 2, k * (k + 1) // 2) for k in range(1, n_max + 1)]
+    counts = _b_counts(top + 1)
+    blocks = [(d[s][i], o[s][i]) for s, i in zip(spans, counts[:top])]
 
     # Leaf to level top + 1.  The table stacks Y, A and, per distinct data
     # value c, J and B c, so T is J at c = 1.  Its rows are the depths whose
@@ -368,12 +402,11 @@ def cell_fluxes(
     v = len(data)
     leaves = np.concatenate(([d, w], o * data[:, None], w * data[:, None]))
     rows = np.bincount(depths, minlength=n_max + 1).tolist()
-    table = np.empty((2 + 2 * v, 0, len(levels[-1])))
+    table = np.empty((2 + 2 * v, 0, n_max))
     for k in range(n_max, top, -1):
         s = spans[k - 1]
         if k < n_max:
-            kids = children[k - 1]
-            table = table[..., kids[0]] + table[..., kids[1]]
+            table = table[..., :-1] + table[..., 1:]
             y, a, j, b = table[0], table[1], table[2:2 + v], table[2 + v:]
             pivot, y, j_k = _eliminate(d[s], o[s], kappa2[k - 1], y, j)
             lift = (w[s] + a) / pivot
@@ -383,7 +416,7 @@ def cell_fluxes(
     table = table[:, np.argsort(np.argsort(-depths, kind="stable"))]
 
     # Each cell reads its class's Y and T, and J and B c at its data value.
-    cell, value = address[top], np.repeat(index[:-1], 1 << (top - given))
+    cell, value = counts[top], np.repeat(index[:-1], 1 << (top - given))
     y, t = table[0][:, cell], table[2 + index[-1]][:, cell]
     j, b = (table[2 + shift + value, :, cell].T for shift in (0, v))
     values, y_root, j_root = _reduce(blocks, kappa2[:top], y, j, root_value)

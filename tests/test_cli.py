@@ -1,5 +1,8 @@
 import contextlib
 import io
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -320,6 +323,36 @@ def test_converge_refuses_depth_past_ceiling(monkeypatch, capsys):
     assert err.startswith("error:") and str(trees.MAX_SWEEP_EDGES) in err
     assert "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["measure", "--alpha", "0.3", "--F", "cyl:a", "--partition-depth", "24"],
+        ["converge", "--alpha", "0.3", "--F", "cyl:" + "a" * 39, "--E", "cyl:b",
+         "--max-depth", "50"],
+    ],
+)
+def test_deep_cells_refused_before_enumeration(argv):
+    # Depth-M cells need a depth-(M + 1) truncation, past the sweep ceiling
+    # from M = 24 on.  The refusal must come before the 2**M cells are
+    # enumerated: in a child limited to 1 GiB of address space, enumerating
+    # them ends in a MemoryError.
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    path = (str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", ""))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run(
+        [sys.executable, "-m", "graphdn.cli", *argv], env=env, preexec_fn=limit,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:")
+    assert str(trees.MAX_SWEEP_EDGES) in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_dn_refuses_boundary_past_ceiling(monkeypatch, capsys):

@@ -18,7 +18,13 @@ from graphdn.dirichlet import (
 from graphdn.edge import edge_energy
 from graphdn.errors import SingularInteriorError, ValidationError
 from graphdn.graph import build_graph
-from graphdn.trees import AlphaBetaSpec, cylinder_leaves, generate_ab_tree
+from graphdn.trees import (
+    AlphaBetaSpec,
+    add_shortcut_edges,
+    address_index,
+    cylinder_leaves,
+    generate_ab_tree,
+)
 
 from conftest import graph_corpus
 from oracles import dense_dn, dense_solve
@@ -360,6 +366,27 @@ class TestInteriorSystem:
         g = generate_ab_tree(AlphaBetaSpec(alpha=0.3, depth=7))
         system = InteriorSystem(g)
         assert 1.0 <= system.condition_estimate < 1e8
+
+    def test_condition_estimate_ignores_global_seed(self):
+        # 127 interior vertices, past the dense cutoff of 64; with sibling
+        # shortcuts a randomised estimate varies with the global seed.
+        tree = generate_ab_tree(
+            AlphaBetaSpec(alpha=0.3, depth=8, kappa2_per_level=(1.0, 0.5))
+        )
+        index = address_index(tree)
+        siblings = [
+            (v, index[p[:-1] + "b"], 0.5 ** len(p))
+            for p, v in index.items() if p.endswith("a")
+        ]
+        g, _ = add_shortcut_edges(tree, siblings)
+        estimates = set()
+        for seed in range(5):
+            np.random.seed(seed)
+            estimates.add(InteriorSystem(g).condition_estimate)
+        (estimate,) = estimates
+        # A lower bound: ||A||_1 exact, ||A^-1||_1 estimated from below.
+        exact = np.linalg.cond(InteriorSystem(g)._scaled.toarray(), 1)
+        assert exact / 2 <= estimate <= exact * (1 + 1e-12)
 
     def test_shared_factorization(self):
         g = star3()

@@ -257,6 +257,10 @@ class TestPotentialWeights:
         assert np.allclose(w[1:3], diag[1:3] + off[1:3], rtol=1e-14)
         assert w[3] == 700.0
 
+    def test_each_branch_on_its_own_edges(self):
+        # z = 1e154: the series, evaluated on this edge too, would overflow.
+        assert float(edge_potential_weights(1.0, 1e308)) == math.sqrt(1e308)
+
     def test_series_branch_continuity(self):
         below = float(edge_potential_weights(1.0, (SERIES_PRODUCT * 0.999) ** 2))
         above = float(edge_potential_weights(1.0, (SERIES_PRODUCT * 1.001) ** 2))

@@ -11,7 +11,7 @@ from graphdn.graph import (
     geodesic_distance,
     graph_report,
 )
-from graphdn.trees import AlphaBetaSpec, generate_ab_tree
+from graphdn.trees import AlphaBetaSpec, add_shortcut_edges, generate_ab_tree
 
 from conftest import random_metric_graph
 
@@ -81,6 +81,18 @@ class TestBuildGraph:
         assert length.tolist() == [0.5, 1.5] and kappa2.tolist() == [4.0, 0.0]
         assert not any(column.flags.writeable for column in g.edge_table)
         assert g.degrees.tolist() == [2, 1, 1]
+
+    def test_numpy_integer_endpoints(self):
+        ids = np.arange(4)
+        g = build_graph([(ids[0], ids[1], 1.0), (ids[1], np.int32(2), 0.5)])
+        assert g == build_graph([(0, 1, 1.0), (1, 2, 0.5)])
+        assert all(type(x) is int for e in g.edges for x in (e.a, e.b))
+        tree = generate_ab_tree(AlphaBetaSpec(alpha=0.5, depth=3))
+        decorated, _ = add_shortcut_edges(tree, [(ids[2], ids[3], 0.25)])
+        (shortcut,) = decorated.edges[len(tree.edges):]
+        assert (type(shortcut.a), type(shortcut.b)) == (int, int)
+        with pytest.raises(ValidationError, match=r"got \(-1, 2\)"):
+            build_graph([(np.int64(-1), ids[2], 1.0)])
 
     def test_degree_one_must_be_boundary(self):
         with pytest.raises(ValidationError, match="degree-one"):

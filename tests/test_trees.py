@@ -252,6 +252,25 @@ class TestLevelArrays:
         flat = np.concatenate(level_lengths(spec))
         assert flat.tolist() == [e.length for e in g.edges]
 
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.45, 0.77])
+    def test_one_length_per_level_and_b_count(self, alpha):
+        mpmath = pytest.importorskip("mpmath")
+        spec = AlphaBetaSpec(alpha=alpha, depth=20)
+        eps = np.finfo(float).eps
+        with mpmath.workdps(50):
+            a, b = mpmath.mpf(spec.alpha), mpmath.mpf(spec.beta)
+            for k, lengths in enumerate(level_lengths(spec), start=1):
+                position = np.arange(2 ** (k - 1))
+                b_steps = sum(
+                    ((position >> bit) & 1 for bit in range(k - 1)),
+                    np.zeros_like(position),
+                )
+                assert len(np.unique(lengths)) <= k
+                for i in range(k):
+                    (length,) = np.unique(lengths[b_steps == i])
+                    exact = a ** (k - 1 - i) * b**i
+                    assert abs(length - exact) <= eps * exact
+
     def test_cylinder_slice_matches_cylinder_leaves(self):
         depth = 5
         g = generate_ab_tree(AlphaBetaSpec(alpha=0.4, depth=depth))
@@ -384,6 +403,8 @@ class TestCellFluxes:
              kappa2=[0.0] * 5 + [4.0, 0.0, 2.5e5])
     @example(alpha=0.1, depth=12, top=2, coefs=[1.0, 1.0, 0.0, 0.0, -0.5],
              kappa2=[])
+    @example(alpha=0.3, depth=20, top=2, coefs=[1.0, 1.0, 0.0, 0.0, -0.5],
+             kappa2=[4.0, 1e-14])
     @settings(max_examples=80, deadline=None)
     def test_matches_level_sweep(self, alpha, depth, top, coefs, kappa2):
         top = min(top, depth - 1)
