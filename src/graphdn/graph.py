@@ -17,6 +17,11 @@ parallel edges are split at midpoints rather than rejected.
 callers see.  Numerical code reads ``MetricGraph.edge_table`` instead: the
 endpoints, lengths and potentials as read-only arrays in edge order, built
 once per graph.  Degrees and the vertex adjacency matrix come from it.
+
+scipy is imported inside the functions that use it (:func:`build_graph`,
+the vertex adjacency matrix, :func:`geodesic_distance` and
+:func:`graph_report`), so importing this module, and the tree-family
+exhaustion that only needs its edge model, loads numpy alone.
 """
 
 from __future__ import annotations
@@ -25,13 +30,14 @@ import math
 import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import DomainError, ValidationError
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 __all__ = [
     "Edge",
@@ -136,6 +142,8 @@ class MetricGraph:
 
     @cached_property
     def _vertex_csr(self) -> csr_matrix:
+        from scipy.sparse import csr_matrix
+
         a, b, length, _ = self.edge_table
         return csr_matrix(
             (np.concatenate((length, length)),
@@ -259,6 +267,9 @@ def build_graph(
     degree.  Loops and parallel edges are subdivided at midpoints; the
     inserted midpoint vertices carry no metadata and are never boundary.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     edges = _coerce_edges(descriptors)
     if not edges:
         raise ValidationError("graph must have at least one edge")
@@ -353,6 +364,8 @@ def geodesic_distance(g: MetricGraph, x, y) -> float:
     either stays inside a common edge or passes through edge endpoints, so
     the distance is the minimum over endpoint routes of a Dijkstra sweep.
     """
+    from scipy.sparse.csgraph import dijkstra
+
     px, py = _as_point(g, x), _as_point(g, y)
     ex, ey = g.edges[px.edge], g.edges[py.edge]
 
@@ -369,6 +382,8 @@ def geodesic_distance(g: MetricGraph, x, y) -> float:
 
 def graph_report(g: MetricGraph) -> GraphReport:
     """Compute summary totals; exact sums for edgewise-constant potentials."""
+    from scipy.sparse.csgraph import dijkstra
+
     total_weight = sum(e.weight for e in g.edges)
     total_volume = sum(e.length for e in g.edges)
     potential_bound = sum(

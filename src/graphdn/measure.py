@@ -487,19 +487,17 @@ def measure_table(
     _check_tolerance(tol)
     if partition_depth < 1:
         raise DomainError(f"partition depth must be >= 1, got {partition_depth}")
-    family = f.family
-    cells = [ClopenSet.cylinder(family, a) for a in _addresses(partition_depth)]
-    cells.append(ClopenSet.root_vertex(family))
-
-    lowest = max(
-        [f.min_truncation_depth, partition_depth + 1]
-        + [c.min_truncation_depth for c in cells]
-    )
+    # Every check comes before the 2**partition_depth cells are built.
+    _check_cell_depth(partition_depth)
+    lowest = max(f.min_truncation_depth, partition_depth + 1)
     start = lowest if n_min is None else n_min
     if start < lowest:
         raise DomainError(f"n_min {start} too shallow; need >= {lowest}")
     if n_max < start:
         raise DomainError(f"n_max {n_max} below the starting depth {start}")
+    family = f.family
+    cells = [ClopenSet.cylinder(family, a) for a in _addresses(partition_depth)]
+    cells.append(ClopenSet.root_vertex(family))
 
     depths = range(start, n_max + 1)
     rows, roots = _cell_fluxes(f, depths, partition_depth)

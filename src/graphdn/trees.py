@@ -59,7 +59,7 @@ ADDRESS_ALPHABET = ("a", "b")
 # tabulates subtrees per level and class (k classes at level k, 300 in all
 # at depth 24) and sweeps only the 2**M cells read, one row per depth above
 # M, so at most 2**(n - 1) cell entries: 0.08 MB (traced) for exhaustion
-# through shallow cells at depth 24, and 0.76 GB (90 B per entry) through
+# through shallow cells at depth 24, and 0.46 GB (58 B per entry) through
 # a depth-23 cell.  Each ceiling keeps one call under about 1 GB: depth 20
 # (0.7 GB predicted) for the graph, depth 24 for the sweep.
 MAX_GRAPH_EDGES = 2**20 - 1
@@ -275,15 +275,19 @@ def _reduce(blocks, kappa2, y, j, root_value):
     (address order on the last axis; leading axes batch problems with the
     same root value).  Returns the vertex values of levels 0 through
     ``len(blocks)`` and the ``(Y, J)`` drawn through the top edge.
+
+    The up-sweep drops each level's arrays once the level above is formed,
+    and the down-sweep each pivot once used; a caller that keeps no
+    reference to ``y`` and ``j`` lets the widest level go after one step.
     """
     pivots = []
     for (d, o), q in zip(reversed(blocks), reversed(kappa2)):
         j_v = j[..., 0::2] + j[..., 1::2]
         pivot, y, j = _eliminate(d, o, q, y[..., 0::2] + y[..., 1::2], j_v)
         pivots.append((pivot, j_v))
-    pivots.reverse()
     values = [np.full(y.shape[:-1] + (1,), float(root_value))]
-    for (d, o), (pivot, j_v) in zip(blocks, pivots):
+    for d, o in blocks:
+        pivot, j_v = pivots.pop()
         above = np.repeat(values[-1], d.shape[-1] // values[-1].shape[-1], axis=-1)
         values.append(-(o * above + j_v) / pivot)
     return values, y, j
@@ -415,13 +419,28 @@ def cell_fluxes(
         table = np.concatenate((table, start), axis=1)
     table = table[:, np.argsort(np.argsort(-depths, kind="stable"))]
 
-    # Each cell reads its class's Y and T, and J and B c at its data value.
-    cell, value = counts[top], np.repeat(index[:-1], 1 << (top - given))
-    y, t = table[0][:, cell], table[2 + index[-1]][:, cell]
-    j, b = (table[2 + shift + value, :, cell].T for shift in (0, v))
-    values, y_root, j_root = _reduce(blocks, kappa2[:top], y, j, root_value)
-    above = np.repeat(values[-1], (1 << top) // values[-1].shape[-1], axis=-1)
-    cells = t * above + (b - j)
+    # Each cell reads its class's Y and T, and J and B c at its data value:
+    # the cells below data cell g are a run of 2**(top - given), so the data
+    # index broadcasts over the run and no per-cell index is built.
+    cell = counts[top]
+    runs = cell.reshape(len(index) - 1, -1)
+
+    def per_cell(by_value):
+        return by_value[index[:-1, None], :, runs].reshape(1 << top, -1).T
+
+    # _reduce gets the only references to the per-cell Y and J, and frees
+    # them after its first level.
+    values, y_root, j_root = _reduce(
+        blocks, kappa2[:top], table[0][:, cell], per_cell(table[2:2 + v]), root_value
+    )
+    # T u + (B c - J), in place, with u the value above each cell's top
+    # edge.  B c - J is subtracted per class before the gather, the same
+    # operation on the same operands.  `take` returns the rows contiguous:
+    # numpy's summation order follows the memory layout, and callers sum
+    # over rows and across cells.
+    cells = table[2 + index[-1]].take(cell, axis=1)
+    cells *= np.repeat(values[-1], (1 << top) // values[-1].shape[-1], axis=-1)
+    cells += per_cell(table[2 + v:] - table[2:2 + v])
     return cells, y_root[:, 0] * root_value + j_root[:, 0]
 
 

@@ -325,6 +325,12 @@ def test_converge_refuses_depth_past_ceiling(monkeypatch, capsys):
     assert out == ""
 
 
+def _child_env():
+    """The environment of a child interpreter that imports this graphdn."""
+    path = (str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", ""))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -343,16 +349,41 @@ def test_deep_cells_refused_before_enumeration(argv):
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    path = (str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", ""))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     done = subprocess.run(
-        [sys.executable, "-m", "graphdn.cli", *argv], env=env, preexec_fn=limit,
-        capture_output=True, text=True, timeout=120,
+        [sys.executable, "-m", "graphdn.cli", *argv], env=_child_env(),
+        preexec_fn=limit, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 2
     assert done.stderr.startswith("error:")
     assert str(trees.MAX_SWEEP_EDGES) in done.stderr
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB on Linux only")
+def test_deepest_cell_exhaustion_peak_rss():
+    # E at depth 23 is read on the 2**23 cells of the depth-24 truncation.
+    # The child's peak RSS, interpreter and scipy included (about 60 MB),
+    # measured 525 MB on x86-64 Linux (CPython 3.11, numpy 2.4).
+    child = (
+        "import resource, sys\n"
+        "from graphdn.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(f'peak-kib {peak}', file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    argv = ["converge", "--alpha", "0.3", "--F", "cyl:a", "--E", "cyl:" + "a" * 23,
+            "--max-depth", "24"]
+    done = subprocess.run(
+        [sys.executable, "-c", child, *argv], env=_child_env(),
+        capture_output=True, text=True, timeout=300,
+    )
+    # One depth gives no residuals, so the run cannot converge.
+    assert done.returncode == 3, done.stderr
+    assert "converged no" in done.stdout
+    peak_mb = int(done.stderr.split()[-1]) / 1024
+    assert peak_mb <= 600
 
 
 def test_dn_refuses_boundary_past_ceiling(monkeypatch, capsys):
@@ -369,7 +400,7 @@ def test_dn_refuses_boundary_past_ceiling(monkeypatch, capsys):
 MALFORMED_DATA = ("{v}=abc", "{v}=nan", "{v}=inf", "{v}", "{unknown}=1")
 
 
-def _run_solve(argv):
+def _run_main(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -399,8 +430,8 @@ def test_solve_contract_on_random_graphs(seed, default, malformed, position):
         path = Path(tmp) / "graph.txt"
         fileio.write_graph(g, path)
         argv = ["solve", "--graph", str(path), "--data", ",".join(items)]
-        first = _run_solve(argv)
-        second = _run_solve(argv)
+        first = _run_main(argv)
+        second = _run_main(argv)
     code, out, err = first
     assert code in (0, 2)
     if code != 0:
@@ -409,6 +440,83 @@ def test_solve_contract_on_random_graphs(seed, default, malformed, position):
         assert malformed is None and "dn-symmetry-residual" in out
     assert out.encode() == second[1].encode()
     assert code == second[0]
+
+
+# Valid flags of the tree commands.  Values are passed as --flag=value, so
+# that argparse takes a leading "-" as part of the value.  A max depth of 1,
+# or a min depth above the max depth, is malformed too.
+ALPHAS = st.floats(0.05, 0.95).map(repr)
+KAPPA2 = st.sampled_from(["", "4,1", "0,0,2.5e5"])
+TOLS = st.sampled_from(["1e-1", "1e-2", "1e-3", "1e-6", "1e-12"])
+SETS = st.text("ab", max_size=3).map("cyl:".__add__) | st.sampled_from(["v0", "all", "cantor"])
+FUNCTIONS = st.lists(
+    st.tuples(st.sampled_from(["", "2*", "-0.5*", "1e-3*"]), SETS), min_size=1, max_size=3,
+).map(lambda terms: "+".join(coef + term for coef, term in terms))
+MAX_DEPTHS = st.integers(1, 12)
+# At most one malformed flag per run, placed last, where argparse lets it
+# override the valid one.
+MALFORMED_TREE_FLAGS = (
+    "--alpha=1.5", "--alpha=nan", "--kappa2=1,x", "--kappa2=-1", "--tol=nan",
+    "--tol=-1e-3", "--tol=0", "--tol=inf", "--F=", "--F=cyl:ax", "--F=cyl:aB",
+    "--F=cyl", "--F=x*cyl:a", "--F=nan*cyl:a", "--F=cyl:a+root",
+)
+
+
+def _check_tree_contract(argv, output_flags):
+    """Run twice, each time writing every output flag to a fresh file.
+
+    The exit code is 0, 2 or 3; exit 2 prints ``error:`` and nothing else,
+    with no traceback; both runs print and write the same bytes.
+    """
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for k in range(2):
+            paths = [Path(tmp) / f"{k}{flag.strip('-')}" for flag in output_flags]
+            extra = [f"{flag}={path}" for flag, path in zip(output_flags, paths)]
+            code, out, err = _run_main(argv + extra)
+            written = [p.read_bytes() if p.exists() else None for p in paths]
+            runs.append((code, out.encode(), err.encode(), written))
+    code, out, err, written = runs[0]
+    assert code in (0, 2, 3)
+    assert b"Traceback" not in err
+    if code == 2:
+        assert err.startswith(b"error:") and out == b""
+        assert written == [None] * len(output_flags)
+    else:
+        assert err == b"" and None not in written
+    assert runs[1] == runs[0]
+    return code
+
+
+@given(alpha=ALPHAS, kappa2=KAPPA2, f=FUNCTIONS, e=SETS, tol=TOLS,
+       max_depth=MAX_DEPTHS, min_depth=st.none() | st.integers(1, 14),
+       malformed=st.none() | st.sampled_from(
+           MALFORMED_TREE_FLAGS + ("--E=cyl:x", "--E=cyl", "--E=root")))
+@settings(max_examples=60, deadline=None)
+def test_converge_contract(alpha, kappa2, f, e, tol, max_depth, min_depth, malformed):
+    argv = ["converge", f"--alpha={alpha}", f"--kappa2={kappa2}", f"--F={f}",
+            f"--E={e}", f"--tol={tol}", f"--max-depth={max_depth}"]
+    if min_depth is not None:
+        argv.append(f"--min-depth={min_depth}")
+    if malformed is not None:
+        argv.append(malformed)
+    code = _check_tree_contract(argv, ("-o", "--plot-data"))
+    assert code == 2 or malformed is None
+
+
+@given(alpha=ALPHAS, kappa2=KAPPA2, f=FUNCTIONS, partition_depth=st.integers(1, 4),
+       tol=TOLS, max_depth=MAX_DEPTHS,
+       malformed=st.none() | st.sampled_from(
+           MALFORMED_TREE_FLAGS + ("--partition-depth=0", "--partition-depth=-2")))
+@settings(max_examples=60, deadline=None)
+def test_measure_contract(alpha, kappa2, f, partition_depth, tol, max_depth, malformed):
+    argv = ["measure", f"--alpha={alpha}", f"--kappa2={kappa2}", f"--F={f}",
+            f"--partition-depth={partition_depth}", f"--tol={tol}",
+            f"--max-depth={max_depth}"]
+    if malformed is not None:
+        argv.append(malformed)
+    code = _check_tree_contract(argv, ("-o",))
+    assert code == 2 or malformed is None
 
 
 def test_solve_requires_single_source(tmp_path, capsys):

@@ -257,6 +257,19 @@ class TestMeasureTable:
         measure_table(indicator(FAM3, "a"), partition_depth=2, tol=1e-6, n_max=7)
         assert calls == [(2, 2, [3, 4, 5, 6, 7])]
 
+    def test_depths_checked_before_cells_are_built(self, monkeypatch):
+        # A partition too deep for n_max is refused before its 2**16 cells
+        # are enumerated.
+        def refuse(depth):
+            raise AssertionError(f"depth-{depth} cells enumerated")
+
+        monkeypatch.setattr(measure, "_addresses", refuse)
+        with pytest.raises(DomainError, match="below the starting depth 17"):
+            measure_table(indicator(FAM3, "a"), partition_depth=16, tol=1e-6, n_max=12)
+        with pytest.raises(DomainError, match="n_min 4 too shallow"):
+            measure_table(indicator(FAM3, "a"), partition_depth=5, tol=1e-6, n_max=12,
+                          n_min=4)
+
     def test_zero_function_gives_zero_cells(self):
         f = SimpleBoundaryFunction.indicator(ClopenSet.whole_boundary(FAM5))
         table = measure_table(f, partition_depth=2, tol=1e-8, n_max=8)

@@ -412,6 +412,9 @@ class TestCellFluxes:
         depths = range(top + 1, depth + 1)
         ours, ours_root = trees.cell_fluxes(family, coefs[:4], coefs[4], depths, top)
         assert ours.shape == (len(depths), 2**top)
+        # Callers sum rows and reshaped rows; numpy adds in an order that
+        # follows the memory layout, so the rows must stay contiguous.
+        assert ours.flags.c_contiguous
         eps = np.finfo(float).eps
         for row, root, n in zip(ours, ours_root, depths):
             spec = replace(family, depth=n)
