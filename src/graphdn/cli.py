@@ -158,7 +158,7 @@ def _load_graph(args) -> MetricGraph:
 def _print_report(g: MetricGraph) -> None:
     rep = graph_report(g)
     print(f"vertices {g.n_vertices}")
-    print(f"edges {len(g.edges)}")
+    print(f"edges {g.n_edges}")
     print(f"boundary-vertices {rep.boundary_count}")
     print(f"connected {'yes' if rep.connected else 'no'}")
     print(f"total-weight {rep.total_weight:.12g}")
@@ -386,6 +386,10 @@ def _apply_config(argv: list[str]) -> list[str]:
     return [rest[0]] + injected + rest[1:]
 
 
+# Library parameters set from CLI flags: errors name the flag as typed.
+_FLAGS = {"n_max": "--max-depth", "n_min": "--min-depth"}
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -402,7 +406,11 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValidationError, DomainError, SingularInteriorError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        flag = _FLAGS.get(getattr(exc, "argument", None))
+        if flag is not None:
+            message = flag + message[len(exc.argument):]
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -16,7 +16,15 @@ class ValidationError(ValueError):
 
 
 class DomainError(ValueError):
-    """A value is outside the domain of an operation (offset, prefix, depth)."""
+    """A value is outside the domain of an operation (offset, prefix, depth).
+
+    ``argument`` names the offending parameter when the message opens with
+    it, e.g. ``"n_max"``, so that a front end can name its own option.
+    """
+
+    def __init__(self, message: str, argument: str | None = None):
+        super().__init__(message)
+        self.argument = argument
 
 
 class SingularInteriorError(RuntimeError):

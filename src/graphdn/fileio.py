@@ -69,14 +69,27 @@ def _parse_address(token: str) -> str | None:
     return token[1:]
 
 
+def _reprs(column: np.ndarray) -> list[str]:
+    """The ``repr`` of each float, formatted once per distinct value.
+
+    A tree's lengths, weights and potentials take few distinct values.  Bit
+    patterns are compared, so ``-0.0`` keeps its sign.
+    """
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    text = np.array([repr(x) for x in bits.view(float).tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
 def write_graph(g: MetricGraph, target) -> None:
     with _writable(target) as fh:
         fh.write(GRAPH_MAGIC + "\n")
         fh.write(f"vertices {g.n_vertices}\n")
-        for e in g.edges:
-            fh.write(
-                f"edge {e.a} {e.b} {e.length!r} {e.weight!r} {e.kappa2!r}\n"
-            )
+        a, b, length, kappa2 = g.edge_table
+        floats = map(_reprs, (length, g.weights, kappa2))
+        fh.writelines(
+            f"edge {x} {y} {s} {w} {k}\n"
+            for x, y, s, w, k in zip(a.tolist(), b.tolist(), *floats)
+        )
         fh.write("boundary" + "".join(f" {v}" for v in g.boundary_vertices) + "\n")
         if g.meta is not None:
             for v, m in enumerate(g.meta):

@@ -419,6 +419,16 @@ def _check_tolerance(tol: float) -> None:
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
 
 
+def _depth_range(lowest: int, n_min: int | None, n_max: int) -> range:
+    """Truncation depths ``n_min`` (default ``lowest``) through ``n_max``."""
+    start = lowest if n_min is None else n_min
+    if start < lowest:
+        raise DomainError(f"n_min {start} too shallow; need >= {lowest}", "n_min")
+    if n_max < start:
+        raise DomainError(f"n_max {n_max} below the starting depth {start}", "n_max")
+    return range(start, n_max + 1)
+
+
 def dn_function(
     f: SimpleBoundaryFunction,
     e: ClopenSet,
@@ -434,15 +444,10 @@ def dn_function(
     """
     _check_tolerance(tol)
     if n_max < 2:
-        raise DomainError(f"n_max must be at least 2, got {n_max}")
+        raise DomainError(f"n_max must be at least 2, got {n_max}", "n_max")
     _check_same_family(f.family, e.family)
     lowest = max(f.min_truncation_depth, e.min_truncation_depth)
-    start = lowest if n_min is None else n_min
-    if start < lowest:
-        raise DomainError(f"n_min {start} too shallow; need >= {lowest}")
-    if n_max < start:
-        raise DomainError(f"n_max {n_max} below the starting depth {start}")
-    depths = range(start, n_max + 1)
+    depths = _depth_range(lowest, n_min, n_max)
     cells, root = _cell_fluxes(f, depths, e.cell_depth)
     values = [e.flux(c, r) for c, r in zip(cells, root)]
     return _report(depths, values, tol)
@@ -489,17 +494,13 @@ def measure_table(
         raise DomainError(f"partition depth must be >= 1, got {partition_depth}")
     # Every check comes before the 2**partition_depth cells are built.
     _check_cell_depth(partition_depth)
-    lowest = max(f.min_truncation_depth, partition_depth + 1)
-    start = lowest if n_min is None else n_min
-    if start < lowest:
-        raise DomainError(f"n_min {start} too shallow; need >= {lowest}")
-    if n_max < start:
-        raise DomainError(f"n_max {n_max} below the starting depth {start}")
+    depths = _depth_range(
+        max(f.min_truncation_depth, partition_depth + 1), n_min, n_max
+    )
     family = f.family
     cells = [ClopenSet.cylinder(family, a) for a in _addresses(partition_depth)]
     cells.append(ClopenSet.root_vertex(family))
 
-    depths = range(start, n_max + 1)
     rows, roots = _cell_fluxes(f, depths, partition_depth)
     # The partition's cylinders are equal runs of the (as fine or finer)
     # cells of the rows; the root vertex comes last, as in ``cells``.

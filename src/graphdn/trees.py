@@ -17,6 +17,7 @@ oracle for the numerical solver.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -24,7 +25,10 @@ import numpy as np
 
 from .edge import edge_dn_blocks, edge_potential_weights
 from .errors import DomainError, ValidationError
-from .graph import Edge, MetricGraph, VertexMeta, build_graph, geodesic_distance
+from .graph import MetricGraph, VertexMeta, _graph_from_table
+
+# build_graph stays a module attribute: perfbench's trace probes wrap it here.
+from .graph import build_graph  # noqa: F401
 
 __all__ = [
     "AlphaBetaSpec",
@@ -50,18 +54,19 @@ ADDRESS_ALPHABET = ("a", "b")
 
 # Size ceilings, in edges, checked before anything is allocated.  Peak RSS
 # above the import baseline, measured for one alpha = 0.3 call on a 7 GB,
-# 2-core x86-64 VM (CPython 3.11, numpy 2.4): generate_ab_tree took 21 MB at
-# depth 15 and 87 MB at depth 17 (about 0.69 KB per edge for the Edge and
-# VertexMeta objects, addresses and build_graph's lists); a level sweep took
-# 56 MB at depth 20 and 227 MB at depth 22 (about 57 B per edge).
+# 2-core x86-64 VM (CPython 3.11, numpy 2.4): generate_ab_tree took 15 MB at
+# depth 15 and 61 MB at depth 17 (about 0.47 KB per edge, nearly all of it
+# the VertexMeta objects, their addresses and the meta tuple; the edge table
+# is 40 B per edge); a level sweep took 56 MB at depth 20 and 227 MB at
+# depth 22 (about 57 B per edge).
 # MAX_SWEEP_EDGES bounds the truncation depth n of level_sweep and
 # cell_fluxes, and so the depth M < n of the cells read.  cell_fluxes
 # tabulates subtrees per level and class (k classes at level k, 300 in all
 # at depth 24) and sweeps only the 2**M cells read, one row per depth above
 # M, so at most 2**(n - 1) cell entries: 0.08 MB (traced) for exhaustion
-# through shallow cells at depth 24, and 0.46 GB (58 B per entry) through
+# through shallow cells at depth 24, and 0.27 GB (34 B per entry) through
 # a depth-23 cell.  Each ceiling keeps one call under about 1 GB: depth 20
-# (0.7 GB predicted) for the graph, depth 24 for the sweep.
+# (0.5 GB predicted) for the graph, depth 24 for the sweep.
 MAX_GRAPH_EDGES = 2**20 - 1
 MAX_SWEEP_EDGES = 2**24 - 1
 
@@ -206,24 +211,29 @@ def generate_ab_tree(spec: AlphaBetaSpec) -> MetricGraph:
     level and address.  Refuses depths beyond ``MAX_GRAPH_EDGES``.
     """
     _check_depth(spec, MAX_GRAPH_EDGES, "metric-graph")
-    lengths = level_lengths(spec)
-
-    edges = [Edge(0, 1, spec.root_length, spec.weight_ratio, spec.kappa2_at_level(1))]
-    meta = {0: VertexMeta(level=0, address=None), 1: VertexMeta(level=1, address="")}
+    # Edge i enters vertex i + 1 from its parent; level k holds 2**(k - 1)
+    # edges, whose weight is the Python float weight_ratio**k.
+    heads = np.arange(1, 2**spec.depth, dtype=np.intp)
+    per_level = 2 ** np.arange(spec.depth)
+    levels = range(1, spec.depth + 1)
+    weights = np.array([spec.weight_ratio**k for k in levels])
+    kappa2 = np.array([spec.kappa2_at_level(k) for k in levels], dtype=float)
+    columns = (
+        heads // 2,
+        heads,
+        np.concatenate(level_lengths(spec)),
+        np.repeat(weights, per_level),
+        np.repeat(kappa2, per_level),
+    )
+    meta = [VertexMeta(level=0, address=None), VertexMeta(level=1, address="")]
     addresses = [""]
-    for level in range(2, spec.depth + 1):
-        weight = spec.weight_ratio**level
-        kappa2 = spec.kappa2_at_level(level)
+    for level in levels[1:]:
         addresses = [p + ch for p in addresses for ch in ADDRESS_ALPHABET]
-        first = 2 ** (level - 1)
-        for i, (address, length) in enumerate(
-            zip(addresses, lengths[level - 1].tolist())
-        ):
-            vid = first + i
-            meta[vid] = VertexMeta(level=level, address=address)
-            edges.append(Edge(vid // 2, vid, length, weight, kappa2))
+        meta += [VertexMeta(level, address) for address in addresses]
     leaves = range(2 ** (spec.depth - 1), 2**spec.depth)
-    return build_graph(edges, boundary={0, *leaves}, meta=meta)
+    return _graph_from_table(
+        columns, boundary={0, *leaves}, meta=dict(enumerate(meta))
+    )
 
 
 @dataclass(frozen=True)
@@ -267,28 +277,35 @@ def _eliminate(d, o, kappa2, y_v, j_v):
     return pivot, (kappa2 + d * y_v) / pivot, -o * j_v / pivot
 
 
-def _reduce(blocks, kappa2, y, j, root_value):
-    """Sweep the levels of ``blocks`` up, then their vertex values down.
+def _reduce(block, kappa2, y, j, root_value):
+    """Sweep levels up, then their vertex values down.
 
-    ``blocks[k]`` is the level-``k + 1`` edge block and ``y``, ``j`` the
-    admittance and transfer of the edges one level below the last block
-    (address order on the last axis; leading axes batch problems with the
-    same root value).  Returns the vertex values of levels 0 through
-    ``len(blocks)`` and the ``(Y, J)`` drawn through the top edge.
+    ``block(k)`` returns the level-``k + 1`` edge block for the
+    ``len(kappa2)`` levels swept, and ``y``, ``j`` are the admittance and
+    transfer of the edges one level below the last of them (address order
+    on the last axis; leading axes batch problems with the same root
+    value).  Returns the vertex values of levels 0 through ``len(kappa2)``
+    and the ``(Y, J)`` drawn through the top edge.
 
-    The up-sweep drops each level's arrays once the level above is formed,
-    and the down-sweep each pivot once used; a caller that keeps no
-    reference to ``y`` and ``j`` lets the widest level go after one step.
+    Each level's block is asked for when the sweep reaches it, going up and
+    again coming down, and dropped after.  Going up, a level's sums over
+    child pairs are formed before its block is asked for, and the level
+    below is dropped then; coming down, each pivot is dropped once used.  A
+    caller that keeps no reference to ``y`` and ``j`` thus lets the widest
+    level go before any block is gathered.
     """
     pivots = []
-    for (d, o), q in zip(reversed(blocks), reversed(kappa2)):
-        j_v = j[..., 0::2] + j[..., 1::2]
-        pivot, y, j = _eliminate(d, o, q, y[..., 0::2] + y[..., 1::2], j_v)
+    for k in reversed(range(len(kappa2))):
+        y_v, j_v = y[..., 0::2] + y[..., 1::2], j[..., 0::2] + j[..., 1::2]
+        del y, j  # the level below goes before this level's blocks come
+        d, o = block(k)
+        pivot, y, j = _eliminate(d, o, kappa2[k], y_v, j_v)
         pivots.append((pivot, j_v))
     values = [np.full(y.shape[:-1] + (1,), float(root_value))]
-    for d, o in blocks:
+    for k in range(len(kappa2)):
+        _, o = block(k)
         pivot, j_v = pivots.pop()
-        above = np.repeat(values[-1], d.shape[-1] // values[-1].shape[-1], axis=-1)
+        above = np.repeat(values[-1], o.shape[-1] // values[-1].shape[-1], axis=-1)
         values.append(-(o * above + j_v) / pivot)
     return values, y, j
 
@@ -323,7 +340,9 @@ def level_sweep(
     leaf_values = np.asarray(leaf_values, dtype=float)
     _check_finite(leaf_values, root_value, "leaf")
     d, o = blocks[-1]
-    values, _, _ = _reduce(blocks[:-1], kappa2[:-1], d, o * leaf_values, root_value)
+    values, _, _ = _reduce(
+        blocks.__getitem__, kappa2[:-1], d, o * leaf_values, root_value
+    )
     above = np.repeat(values[-1], len(d) // len(values[-1]))
     leaf_flux = d * leaf_values + o * above
     values.append(leaf_values)
@@ -396,7 +415,10 @@ def cell_fluxes(
     w = edge_potential_weights(flat, potentials)
     spans = [slice(k * (k - 1) // 2, k * (k + 1) // 2) for k in range(1, n_max + 1)]
     counts = _b_counts(top + 1)
-    blocks = [(d[s][i], o[s][i]) for s, i in zip(spans, counts[:top])]
+
+    def block(k):
+        # Level k + 1's edge block, gathered when the sweep reaches it.
+        return d[spans[k]][counts[k]], o[spans[k]][counts[k]]
 
     # Leaf to level top + 1.  The table stacks Y, A and, per distinct data
     # value c, J and B c, so T is J at c = 1.  Its rows are the depths whose
@@ -429,9 +451,9 @@ def cell_fluxes(
         return by_value[index[:-1, None], :, runs].reshape(1 << top, -1).T
 
     # _reduce gets the only references to the per-cell Y and J, and frees
-    # them after its first level.
+    # them before it gathers the first block.
     values, y_root, j_root = _reduce(
-        blocks, kappa2[:top], table[0][:, cell], per_cell(table[2:2 + v]), root_value
+        block, kappa2[:top], table[0][:, cell], per_cell(table[2:2 + v]), root_value
     )
     # T u + (B c - J), in place, with u the value above each cell's top
     # edge.  B c - J is subtracted per class before the gather, the same
@@ -602,52 +624,60 @@ def add_shortcut_edges(
 ) -> tuple[MetricGraph, ShortcutReport]:
     """Decorate a tree with extra edges and report the comparability premise.
 
-    Shortcut weights follow the deeper endpoint's level schedule when level
-    metadata is present, else 1.  The report checks that shortcut lengths are
-    nonincreasing in the given order and estimates the metric distortion on
-    a sampled set of vertex pairs.
+    A shortcut's weight is the smallest weight among the edges at its
+    endpoints.  The report checks that shortcut lengths are nonincreasing in
+    the given order and estimates the metric distortion on a sampled set of
+    vertex pairs.
     """
-    new_edges = list(tree.edges)
-    lengths = []
-    for u, v, length in shortcuts:
-        if not (0 <= u < tree.n_vertices and 0 <= v < tree.n_vertices):
+    from scipy.sparse.csgraph import dijkstra
+
+    a, b, length, kappa2 = tree.edge_table
+    ends, sizes, weights = [], [], []
+    for u, v, size in shortcuts:
+        if not all(
+            isinstance(x, numbers.Integral) and 0 <= x < tree.n_vertices for x in (u, v)
+        ):
             raise ValidationError(f"shortcut endpoint ({u}, {v}) is not a vertex")
-        if not (length > 0.0 and math.isfinite(length)):
-            raise ValidationError(f"shortcut length must be positive: {length}")
+        if not (size > 0.0 and math.isfinite(size)):
+            raise ValidationError(f"shortcut length must be positive: {size}")
         # Smallest incident weight keeps the total weight summable under the
         # generator's geometric schedule; weights never enter the equation.
-        incident = [e.weight for e in tree.edges if u in (e.a, e.b) or v in (e.a, e.b)]
-        weight = min(incident) if incident else 1.0
-        new_edges.append(Edge(u, v, length, weight, 0.0))
-        lengths.append(length)
-
+        incident = (a == u) | (b == u) | (a == v) | (b == v)
+        weights.append(float(tree.weights[incident].min()))
+        ends.append((int(u), int(v)))
+        sizes.append(float(size))
+    ends = np.array(ends, dtype=np.intp).reshape(-1, 2)
+    columns = (
+        np.concatenate((a, ends[:, 0])),
+        np.concatenate((b, ends[:, 1])),
+        np.concatenate((length, sizes)),
+        np.concatenate((tree.weights, weights)),
+        np.concatenate((kappa2, np.zeros(len(sizes)))),
+    )
     meta_map = None
     if tree.meta is not None:
         meta_map = {v: m for v, m in enumerate(tree.meta) if m is not None}
-    decorated = build_graph(new_edges, boundary=tree.boundary, meta=meta_map)
+    decorated = _graph_from_table(columns, boundary=tree.boundary, meta=meta_map)
 
     nonincreasing = all(
-        lengths[i + 1] <= lengths[i] + 1e-15 for i in range(len(lengths) - 1)
+        sizes[i + 1] <= sizes[i] + 1e-15 for i in range(len(sizes) - 1)
     )
 
+    # Each pair's distance is read from its first vertex's row of one
+    # Dijkstra sweep per graph over the sample's distinct first vertices.
     rng = np.random.default_rng(seed)
-    n = tree.n_vertices
-    pairs = []
-    for _ in range(sample_pairs):
-        u = int(rng.integers(0, n))
-        v = int(rng.integers(0, n))
-        if u != v:
-            pairs.append((u, v))
-    worst = 1.0
-    for u, v in pairs:
-        d_tree = geodesic_distance(tree, u, v)
-        d_dec = geodesic_distance(decorated, u, v)
-        if d_dec > 0.0:
-            worst = max(worst, d_tree / d_dec)
+    u, v = rng.integers(0, tree.n_vertices, size=(sample_pairs, 2)).T
+    u, v = u[u != v], v[u != v]
+    sources, row = np.unique(u, return_inverse=True)
+    d_tree, d_dec = (
+        dijkstra(g._vertex_csr, directed=False, indices=sources)[row, v]
+        for g in (tree, decorated)
+    )
+    ratios = d_tree[d_dec > 0.0] / d_dec[d_dec > 0.0]
     report = ShortcutReport(
         shortcut_count=len(shortcuts),
         lengths_nonincreasing=nonincreasing,
-        distortion_bound=float(worst),
-        sampled_pairs=len(pairs),
+        distortion_bound=float(ratios.max(initial=1.0)),
+        sampled_pairs=len(u),
     )
     return decorated, report

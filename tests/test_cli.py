@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from graphdn import cli, dirichlet, fileio, trees
 from graphdn.cli import main
 from graphdn.fileio import read_graph
+from graphdn.graph import Edge, MetricGraph
 
 from conftest import random_metric_graph
 from oracles import resistance_flux
@@ -68,6 +69,26 @@ def test_generate_with_shortcuts(tmp_path, capsys):
     assert "shortcuts 1" in out
     assert "distortion-bound" in out
     assert "shortcut-lengths-nonincreasing yes" in out
+
+
+def _no_edge_objects(*args, **kwargs):
+    raise AssertionError("an Edge was built")
+
+
+def test_generate_builds_no_edge_objects(tmp_path, monkeypatch, capsys):
+    # Tree generation, shortcut decoration, the report and the file all read
+    # the edge table.
+    monkeypatch.setattr(MetricGraph, "edges", property(_no_edge_objects))
+    monkeypatch.setattr(Edge, "__init__", _no_edge_objects)
+    g = trees.generate_ab_tree(trees.AlphaBetaSpec(alpha=0.3, depth=6))
+    fileio.write_graph(g, io.StringIO())
+    code, out, err = run(
+        capsys, "generate", "--alpha", "0.3", "--depth", "6", "--kappa2", "1,2",
+        "--shortcut", "@a,@b,0.5", "--shortcut", "1,2,0.25",
+        "-o", str(tmp_path / "g.txt"),
+    )
+    assert code == 0, err
+    assert "shortcuts 2" in out
 
 
 def test_dn_on_unit_interval(tmp_path, capsys):
@@ -257,6 +278,25 @@ def test_malformed_input_exits_2(argv, token, tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["measure", "--alpha", "0.3", "--F", "cyl:a", "--partition-depth", "16"],
+         "--max-depth 12 below the starting depth 17"),
+        (["converge", "--alpha", "0.5", "--F", "cyl:a", "--E", "cyl:b",
+          "--min-depth", "10", "--max-depth", "8"],
+         "--max-depth 8 below the starting depth 10"),
+        (["converge", "--alpha", "0.5", "--F", "cyl:a", "--E", "cyl:b",
+          "--max-depth", "1"],
+         "--max-depth must be at least 2, got 1"),
+    ],
+)
+def test_depth_errors_name_the_flags(argv, message, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "data, named",
     [
         ("v0=nan,0=1,default=0", "vertex 0 given twice ('v0' and '0')"),
@@ -299,7 +339,7 @@ def _refuse(*args, **kwargs):
 
 def test_generate_refuses_depth_past_ceiling(tmp_path, monkeypatch, capsys):
     depth = trees.MAX_GRAPH_EDGES.bit_length() + 1
-    monkeypatch.setattr(trees, "Edge", _refuse)
+    monkeypatch.setattr(trees, "level_lengths", _refuse)
     out_file = tmp_path / "g.txt"
     code, _, err = run(
         capsys, "generate", "--alpha", "0.5", "--depth", str(depth),
@@ -364,7 +404,7 @@ def test_deep_cells_refused_before_enumeration(argv):
 def test_deepest_cell_exhaustion_peak_rss():
     # E at depth 23 is read on the 2**23 cells of the depth-24 truncation.
     # The child's peak RSS, interpreter and scipy included (about 60 MB),
-    # measured 525 MB on x86-64 Linux (CPython 3.11, numpy 2.4).
+    # measured 361 MB on x86-64 Linux (CPython 3.11, numpy 2.4).
     child = (
         "import resource, sys\n"
         "from graphdn.cli import main\n"
@@ -383,7 +423,7 @@ def test_deepest_cell_exhaustion_peak_rss():
     assert done.returncode == 3, done.stderr
     assert "converged no" in done.stdout
     peak_mb = int(done.stderr.split()[-1]) / 1024
-    assert peak_mb <= 600
+    assert peak_mb <= 450
 
 
 def test_dn_refuses_boundary_past_ceiling(monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import re
 
@@ -49,9 +50,57 @@ def test_graph_round_trip_random():
         assert read_graph(io.StringIO(graph_to_string(g))) == g
 
 
+def test_writer_keeps_float_reprs():
+    # Each distinct value is formatted once: -0.0 and 0.0 stay apart.
+    g = build_graph([(0, 1, 0.1 + 0.2, 1.0, -0.0), (1, 2, 0.3, 1.0, 0.0)])
+    edges = [ln for ln in graph_to_string(g).splitlines() if ln.startswith("edge")]
+    assert edges == ["edge 0 1 0.30000000000000004 1.0 -0.0", "edge 1 2 0.3 1.0 0.0"]
+
+
 def test_writer_is_canonical():
     g = generate_ab_tree(AlphaBetaSpec(alpha=0.5, depth=3))
     assert graph_to_string(g) == graph_to_string(g)
+
+
+# SHA-256 digests of the graph file and the stdout of `graphdn generate`,
+# as written when trees were built one Edge per edge: a tree with
+# potentials, trees with shortcuts, and a shortcut parallel to a tree edge
+# (split at its midpoint).
+GENERATED = [
+    (
+        ["--alpha", "0.3", "--depth", "9", "--kappa2", "4,2,1,0.5",
+         "--weight-ratio", "0.25"],
+        "12062b945843590b674b67fd2ed1280c696c0ff6d48fe7d4ebb8a9082fc8cc9b",
+        "9e63a0b2f8797754cf5efa6f68e100ed996b71f4771b14049c259baf10fa0955",
+    ),
+    (
+        ["--alpha", "0.5", "--depth", "9", "--shortcut", "@a,@b,0.5",
+         "--shortcut", "2,3,0.25", "--shortcut", "@aa,@bb,0.125"],
+        "39de0ae5869103afd68c0366d67c71c3f775582b41532327ae6423fd8e6def41",
+        "9e3d12145837438177a322ff4de12217a34afef61a932df3d6d2a2ed21ee9a84",
+    ),
+    (
+        ["--alpha", "0.3", "--depth", "13", "--kappa2", "4,2,1,0.5",
+         "--shortcut", "@a,@ba,0.5", "--shortcut", "1,5,0.4", "--seed", "7"],
+        "0b26d199e860870b941e6a10e3034e542c9768d7344573039f1832e7d711a8e0",
+        "0eab52cc757f27526aece75bcd64f647076ad0cd318179ac1dc42d5e6411a752",
+    ),
+    (
+        ["--alpha", "0.3", "--depth", "4", "--shortcut", "1,2,0.3",
+         "--shortcut", "0,3,2"],
+        "03e4ffb28e1613f79142bc48d3de4f1c060338e1a3acdd73934d449c2d6bf825",
+        "eede62b5cb251c8da0a97dde70cca3f5897cf9511678d65507f5d6ab0e4a9170",
+    ),
+]
+
+
+@pytest.mark.parametrize("flags, file_digest, stdout_digest", GENERATED)
+def test_generate_bytes_pinned(flags, file_digest, stdout_digest, tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    assert main(["generate", *flags, "-o", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == file_digest
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,16 @@
 import math
+import numbers
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from graphdn.edge import edge_dn_block
 from graphdn.errors import DomainError, ValidationError
 from graphdn.graph import (
+    Edge,
     GraphPoint,
     build_graph,
     geodesic_distance,
@@ -80,7 +85,20 @@ class TestBuildGraph:
         assert a.tolist() == [2, 0] and b.tolist() == [0, 1]
         assert length.tolist() == [0.5, 1.5] and kappa2.tolist() == [4.0, 0.0]
         assert not any(column.flags.writeable for column in g.edge_table)
+        assert g.weights.tolist() == [3.0, 1.0] and not g.weights.flags.writeable
         assert g.degrees.tolist() == [2, 1, 1]
+
+    def test_adjacency_matches_per_edge_loop(self):
+        rng = np.random.default_rng(3)
+        graphs = [random_metric_graph(rng, 30) for _ in range(10)]
+        # Split loop and parallel edges: these edges are made from the table.
+        graphs.append(build_graph([(0, 1, 1.0), (1, 1, 0.8), (0, 1, 2.0), (1, 2, 1.0)]))
+        for g in graphs:
+            adjacency = [[] for _ in range(g.n_vertices)]
+            for i, e in enumerate(g.edges):
+                adjacency[e.a].append((i, e.b))
+                adjacency[e.b].append((i, e.a))
+            assert g.adjacency == tuple(map(tuple, adjacency))
 
     def test_numpy_integer_endpoints(self):
         ids = np.arange(4)
@@ -113,6 +131,59 @@ class TestBuildGraph:
             pairs = [(min(e.a, e.b), max(e.a, e.b)) for e in g.edges]
             assert len(pairs) == len(set(pairs))
             assert all(e.a != e.b for e in g.edges)
+
+
+def _per_edge_field_error(descriptors):
+    """The first bad field, checked edge by edge and field by field."""
+    for i, item in enumerate(descriptors):
+        e = item if isinstance(item, Edge) else Edge(*item)
+        if not (isinstance(e.a, int) and isinstance(e.b, int)):
+            if not all(isinstance(x, numbers.Integral) for x in (e.a, e.b)):
+                return i, f"endpoint ids must be nonnegative integers, got ({e.a}, {e.b})"
+            # Numpy integer ids are shown as Python ints.
+            e = replace(e, a=int(e.a), b=int(e.b))
+        if e.a < 0 or e.b < 0:
+            return i, f"endpoint ids must be nonnegative integers, got ({e.a}, {e.b})"
+        for what, value in (("length", e.length), ("weight", e.weight)):
+            if not (value > 0.0 and math.isfinite(value)):
+                return i, f"{what} must be positive and finite, got {value}"
+        if not (e.kappa2 >= 0.0 and math.isfinite(e.kappa2)):
+            return i, f"potential must be nonnegative and finite, got {e.kappa2}"
+    return None
+
+
+_ENDPOINTS = [0, 1, 2, 3, -1, 2.5, np.int64(2), np.int64(-3), np.int32(1), True]
+_LENGTHS = [1.0, 0.5, 2, 0, 0.0, -0.0, -1.0, math.nan, math.inf]
+_WEIGHTS = [1.0, 0.25, 3, 0.0, -2.0, math.nan, -math.inf]
+_POTENTIALS = [0.0, 2.0, -0.0, 1e300, 4, -0.5, math.nan, math.inf]
+
+
+@settings(deadline=None)  # the first graph built imports scipy
+@given(
+    st.lists(
+        st.tuples(*map(st.sampled_from, (_ENDPOINTS, _ENDPOINTS, _LENGTHS, _WEIGHTS,
+                                          _POTENTIALS))),
+        min_size=1, max_size=8,
+    )
+)
+@example([(0, 1, 1.0), (1, 2, -1.0, 0.0, -1.0), (2.5, 3, 0.0), (3, -4, math.nan)])
+@example([(0, 1, 1.0), (1, 2, 1.0, math.nan, -1.0), (-1, 2, -3.0, 0.0)])
+@example([(0, 1.5, -1.0, 0.0), (2, 1, 1.0, 1.0, -2.0)])
+def test_field_errors_name_the_first_bad_edge(descriptors):
+    # Several bad edges with several bad fields each: the table check names
+    # the first bad edge and, within it, the first bad field, as given.
+    expected = _per_edge_field_error(descriptors)
+    if expected is None:
+        try:
+            build_graph(descriptors)
+        except ValidationError as exc:
+            assert exc.element is None or exc.element[0] == "vertex"
+        return
+    i, message = expected
+    with pytest.raises(ValidationError) as info:
+        build_graph(descriptors)
+    assert str(info.value) == f"edge {i}: {message}"
+    assert info.value.element == ("edge", i)
 
 
 class TestGeodesic:

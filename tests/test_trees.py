@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,8 @@ from graphdn import trees
 from graphdn.dirichlet import solve_dirichlet
 from graphdn.edge import edge_dn_blocks
 from graphdn.errors import DomainError, ValidationError
-from graphdn.graph import geodesic_distance
+from graphdn.fileio import graph_to_string
+from graphdn.graph import Edge, VertexMeta, build_graph, geodesic_distance
 from graphdn.measure import ClopenSet, SimpleBoundaryFunction, dn_at_depth
 from graphdn.trees import (
     AlphaBetaSpec,
@@ -24,6 +26,7 @@ from graphdn.trees import (
     level_sweep,
 )
 
+from conftest import random_metric_graph
 from oracles import dense_solve
 
 
@@ -86,6 +89,45 @@ class TestGenerate:
         root_edge = g.edges[0]
         assert root_edge.kappa2 == 2.0
         assert all(e.kappa2 == 0.0 for e in g.edges[1:])
+
+
+def _per_edge_tree(spec):
+    """The depth-``spec.depth`` truncation built one Edge per edge."""
+    lengths = level_lengths(spec)
+    edges = [Edge(0, 1, spec.root_length, spec.weight_ratio, spec.kappa2_at_level(1))]
+    meta = {0: VertexMeta(level=0, address=None), 1: VertexMeta(level=1, address="")}
+    addresses = [""]
+    for level in range(2, spec.depth + 1):
+        weight = spec.weight_ratio**level
+        kappa2 = spec.kappa2_at_level(level)
+        addresses = [p + ch for p in addresses for ch in "ab"]
+        first = 2 ** (level - 1)
+        for i, (address, length) in enumerate(
+            zip(addresses, lengths[level - 1].tolist())
+        ):
+            meta[first + i] = VertexMeta(level=level, address=address)
+            edges.append(Edge((first + i) // 2, first + i, length, weight, kappa2))
+    leaves = range(2 ** (spec.depth - 1), 2**spec.depth)
+    return build_graph(edges, boundary={0, *leaves}, meta=meta)
+
+
+class TestGenerateMatchesPerEdge:
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 1 / 3, 0.5, 0.7, 0.93])
+    @pytest.mark.parametrize(
+        "kappa2, root_length, weight_ratio",
+        [((), 1.0, 1 / 3), ((4.0, 0.0, 1e-3, -0.0, 2.5e5), 0.7, 0.25)],
+    )
+    def test_same_graph_and_bytes(self, alpha, kappa2, root_length, weight_ratio):
+        for depth in range(1, 13):
+            spec = AlphaBetaSpec(
+                alpha=alpha, depth=depth, root_length=root_length,
+                weight_ratio=weight_ratio, kappa2_per_level=kappa2,
+            )
+            g, reference = generate_ab_tree(spec), _per_edge_tree(spec)
+            assert g == reference
+            assert g.edges == reference.edges
+            # Float reprs tell -0.0 from 0.0, which == does not.
+            assert graph_to_string(g) == graph_to_string(reference)
 
 
 class TestClosedForm:
@@ -204,6 +246,52 @@ class TestShortcuts:
             assert geodesic_distance(decorated, int(u), int(v)) <= (
                 geodesic_distance(g, int(u), int(v)) + 1e-12
             )
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_report_matches_per_pair_loop(self, seed):
+        # Odd seeds decorate random graphs, even seeds trees with potentials.
+        rng = np.random.default_rng(seed)
+        if seed % 2:
+            g = random_metric_graph(rng, 40)
+        else:
+            alpha = float(rng.uniform(0.05, 0.95))
+            g = generate_ab_tree(
+                AlphaBetaSpec(alpha=alpha, depth=int(rng.integers(2, 9)),
+                              kappa2_per_level=(1.0, 0.5))
+            )
+        n = g.n_vertices
+        ends = rng.integers(0, n, size=(int(rng.integers(0, 6)), 2)).tolist()
+        shortcuts = [(u, v, float(rng.uniform(0.01, 2.0))) for u, v in ends if u != v]
+        pairs, sample_seed = int(rng.integers(1, 100)), int(rng.integers(0, 1000))
+        decorated, report = add_shortcut_edges(g, shortcuts, pairs, sample_seed)
+
+        # The per-edge decoration and the per-pair geodesic loop.
+        edges = list(g.edges)
+        for u, v, length in shortcuts:
+            weight = min(e.weight for e in g.edges if {u, v} & {e.a, e.b})
+            edges.append(Edge(u, v, length, weight, 0.0))
+        meta = None if g.meta is None else {
+            v: m for v, m in enumerate(g.meta) if m is not None
+        }
+        assert decorated == build_graph(edges, boundary=g.boundary, meta=meta)
+        draw = np.random.default_rng(sample_seed)
+        sample = [(int(draw.integers(0, n)), int(draw.integers(0, n)))
+                  for _ in range(pairs)]
+        worst = 1.0
+        for u, v in sample:
+            if u != v:
+                d_dec = geodesic_distance(decorated, u, v)
+                if d_dec > 0.0:
+                    worst = max(worst, geodesic_distance(g, u, v) / d_dec)
+        assert report.shortcut_count == len(shortcuts)
+        assert report.sampled_pairs == sum(u != v for u, v in sample)
+        assert report.lengths_nonincreasing == all(
+            b[2] <= a[2] + 1e-15 for a, b in zip(shortcuts, shortcuts[1:])
+        )
+        # The loop took the least of four endpoint routes, each summed in
+        # its own order; the report reads the path summed from the first
+        # vertex, one of them.  They agree to a few ulps.
+        assert math.isclose(report.distortion_bound, worst, rel_tol=4 * sys.float_info.epsilon)
 
     def test_bad_shortcut(self):
         g = generate_ab_tree(AlphaBetaSpec(alpha=0.5, depth=2))
