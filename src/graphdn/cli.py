@@ -168,6 +168,8 @@ def _print_report(g: MetricGraph) -> None:
 
 
 def _cmd_generate(args) -> int:
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
     g = generate_ab_tree(_family_from_args(args))
     if args.shortcut:
         parsed = []
@@ -374,15 +376,19 @@ def _apply_config(argv: list[str]) -> list[str]:
     if not rest:
         raise ValidationError("--config requires a subcommand")
     injected: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, value = line.partition(" ")
-            if not value.strip():
-                raise ValidationError(f"malformed config line {raw.strip()!r}")
-            injected += [f"--{key.replace('_', '-')}", value.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise ValidationError(f"config file {path} is not UTF-8 text") from None
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, _, value = line.partition(" ")
+        if not value.strip():
+            raise ValidationError(f"malformed config line {raw.strip()!r}")
+        injected += [f"--{key.replace('_', '-')}", value.strip()]
     return [rest[0]] + injected + rest[1:]
 
 

@@ -98,10 +98,13 @@ def write_graph(g: MetricGraph, target) -> None:
 
 
 def read_graph(source) -> MetricGraph:
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source.read()
+    try:
+        if isinstance(source, (str, Path)):
+            text = Path(source).read_text(encoding="utf-8")
+        else:
+            text = source.read()
+    except UnicodeDecodeError:
+        raise ValidationError(f"graph file {source} is not UTF-8 text") from None
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != GRAPH_MAGIC:
         raise ValidationError(f"not a graph file (expected '{GRAPH_MAGIC}' header)")

@@ -292,19 +292,22 @@ def _graph_from_table(
         raise ValidationError("graph must have at least one edge")
     _check_table(columns, edges)
     a, b = columns[:2]
-    n = int(max(a.max(), b.max())) + 1
-    columns, n = _split_conflicts(columns, n)
-    if len(columns[0]) != len(a):
-        edges = None
-    a, b = columns[:2]
-
-    deg = np.bincount(np.concatenate((a, b)), minlength=n)
+    # Degrees of ids clipped at the endpoint count: an id past it leaves a
+    # vertex below it without an edge, so no array is sized by a huge id.
+    # Splitting conflicts below keeps every degree and adds degree-two
+    # midpoints.
+    ends = np.concatenate((a, b))
+    deg = np.bincount(np.minimum(ends, len(ends)))
     isolated = np.flatnonzero(deg == 0)
     if len(isolated):
         v = int(isolated[0])
         raise ValidationError(
             f"vertex {v} has no incident edge", element=("vertex", v)
         )
+    columns, n = _split_conflicts(columns, len(deg))
+    if len(columns[0]) != len(a):
+        edges = None
+    a, b = columns[:2]
 
     degree_one = set(np.flatnonzero(deg == 1).tolist())
     if boundary is None:
@@ -398,8 +401,17 @@ def build_graph(
     edges = [e if _int_ids(e) else _int_endpoints(e) for e in edges]
     # An edge with a non-integer id enters the table with ids -1.
     ends = [(e.a, e.b) if _int_ids(e) else (-1, -1) for e in edges]
+    try:
+        ends = np.array(ends, dtype=np.intp)
+    except OverflowError:
+        # Ids past intp clip to its largest value, where they still leave a
+        # vertex without an edge; negative ones clip to -1, still refused.
+        top = np.iinfo(np.intp).max
+        ends = np.array(
+            [[min(max(x, -1), top) for x in pair] for pair in ends], dtype=np.intp
+        )
     columns = (
-        *np.array(ends, dtype=np.intp).reshape(-1, 2).T.copy(),
+        *ends.reshape(-1, 2).T.copy(),
         np.array([e.length for e in edges], dtype=float),
         np.array([e.weight for e in edges], dtype=float),
         np.array([e.kappa2 for e in edges], dtype=float),

@@ -14,6 +14,15 @@ raised.  Every truncation depth of one call is solved at once by
 fine enough for F and E from that cell's top edge; no truncation is built
 as a metric graph and no leaf is visited.
 
+Set algebra runs on the cells of depth d, the deepest prefix involved.  A
+set's prefixes are sorted, merged cell-index intervals ``[lo, hi)``, each
+prefix one :func:`graphdn.trees.cylinder_slice`; its canonical prefixes
+are the maximal aligned dyadic blocks of those intervals, its complement
+their gaps.  Normalizing, complementing and testing disjointness cost
+O(P log P + P*d) for P prefixes.  :func:`combine` adds its pairs' terms
+into the 2^d cells and groups the cells by value with one stable sort,
+O(2^d log 2^d); no address string is made per cell.
+
 Finite truncations satisfy the structural identities exactly up to solver
 error: the functional is symmetric in (F-set, E), additive over partitions
 of E, and its diagonal quadratic form is the solution energy.
@@ -23,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, combinations, groupby
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,8 +42,6 @@ from .trees import (
     ADDRESS_ALPHABET,
     AlphaBetaSpec,
     _check_cell_depth,
-    _compatible,
-    _validate_prefix,
     cell_fluxes,
     cylinder_leaves,
     cylinder_slice,
@@ -70,42 +78,41 @@ def _addresses(depth: int) -> list[str]:
     return out
 
 
-def _normalize(prefixes: Iterable[str]) -> tuple[str, ...]:
-    """Canonical antichain: drop nested prefixes, merge full sibling pairs."""
-    pool = set(prefixes)
-    for p in pool:
-        _validate_prefix(p)
-    pool = {
-        p for p in pool if not any(q != p and p.startswith(q) for q in pool)
-    }
-    merged = True
-    while merged:
-        merged = False
-        for p in sorted(pool):
-            if p and p.endswith("a") and p[:-1] + "b" in pool:
-                pool.discard(p)
-                pool.discard(p[:-1] + "b")
-                pool.add(p[:-1])
-                merged = True
-                break
-    return tuple(sorted(pool))
+def _intervals(prefixes: Iterable[str], depth: int) -> list[list[int]]:
+    """The prefixes' depth-``depth`` cells as sorted, merged ``[lo, hi)``."""
+    merged: list[list[int]] = []
+    for lo, hi in sorted((s.start, s.stop) for p in prefixes
+                         for s in [cylinder_slice(p, depth + 1)]):
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return merged
 
 
-def _complement_prefixes(prefixes: tuple[str, ...]) -> tuple[str, ...]:
-    # Walk the address tree; emit maximal nodes disjoint from every prefix.
-    cells: list[str] = []
+def _prefixes(intervals: Iterable[Sequence[int]], depth: int) -> tuple[str, ...]:
+    """The maximal cylinders inside the intervals, in address order."""
+    out = []
+    for lo, hi in intervals:
+        while lo < hi:
+            # The largest block that starts aligned at lo and ends by hi.
+            align = (lo & -lo or 1 << depth).bit_length()
+            shift = min(align, (hi - lo).bit_length()) - 1
+            # Its address spells the bits of lo above the shift (after a marker).
+            bits = bin((lo >> shift) | (1 << (depth - shift)))[3:]
+            out.append(bits.replace("0", "a").replace("1", "b"))
+            lo += 1 << shift
+    return tuple(out)
 
-    def descend(node: str) -> None:
-        if node in prefixes:
-            return
-        if not any(p.startswith(node) for p in prefixes):
-            cells.append(node)
-            return
-        for ch in ADDRESS_ALPHABET:
-            descend(node + ch)
 
-    descend("")
-    return tuple(sorted(cells))
+def _overlap(sets: Sequence["ClopenSet"]) -> bool:
+    """Whether two of these sets meet, by one sweep over their intervals."""
+    if sum(s.include_root for s in sets) > 1:
+        return True
+    depth = max(s.cell_depth for s in sets)
+    # A set's own intervals never meet, so only neighbours in order can.
+    spans = sorted(span for s in sets for span in _intervals(s.prefixes, depth))
+    return any(lo < end for (_, end), (lo, _) in zip(spans, spans[1:]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,7 +130,9 @@ class ClopenSet:
     include_root: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "prefixes", _normalize(self.prefixes))
+        given = tuple(self.prefixes)
+        depth = max(map(len, given), default=0)
+        object.__setattr__(self, "prefixes", _prefixes(_intervals(given, depth), depth))
 
     @classmethod
     def cylinder(
@@ -160,18 +169,13 @@ class ClopenSet:
         return not self.prefixes and not self.include_root
 
     def complement(self) -> "ClopenSet":
-        return ClopenSet(
-            self.family,
-            _complement_prefixes(self.prefixes),
-            not self.include_root,
-        )
+        depth = self.cell_depth
+        bounds = [0, *chain.from_iterable(_intervals(self.prefixes, depth)), 2**depth]
+        gaps = zip(bounds[::2], bounds[1::2])
+        return ClopenSet(self.family, _prefixes(gaps, depth), not self.include_root)
 
     def disjoint_from(self, other: "ClopenSet") -> bool:
-        if self.include_root and other.include_root:
-            return False
-        return not any(
-            _compatible(p, q) for p in self.prefixes for q in other.prefixes
-        )
+        return not _overlap((self, other))
 
     def contains_cell(self, address: str) -> bool:
         """Whether the depth cell headed by ``address`` lies in the set.
@@ -233,6 +237,11 @@ class ClopenSet:
         return "+".join(parts) if parts else "empty"
 
 
+def _check_coefficient(c: float, where: str) -> None:
+    if not math.isfinite(c):
+        raise ValidationError(f"non-finite coefficient {c!r} in {where}")
+
+
 def _check_same_family(a: AlphaBetaSpec, b: AlphaBetaSpec) -> None:
     if a.family_key() != b.family_key():
         raise ValidationError(
@@ -253,16 +262,17 @@ class SimpleBoundaryFunction:
         )
         if not self.terms:
             raise ValidationError("a simple boundary function needs >= 1 term")
+        for i, (c, _) in enumerate(self.terms):
+            _check_coefficient(c, f"term {i}")
         family = self.terms[0][1].family
         for _, s in self.terms[1:]:
             _check_same_family(family, s.family)
-        for i in range(len(self.terms)):
-            for j in range(i + 1, len(self.terms)):
-                if not self.terms[i][1].disjoint_from(self.terms[j][1]):
-                    raise ValidationError(
-                        f"terms {i} and {j} overlap: "
-                        f"{self.terms[i][1].label()} vs {self.terms[j][1].label()}"
-                    )
+        sets = [s for _, s in self.terms]
+        if _overlap(sets):
+            for i, j in combinations(range(len(sets)), 2):
+                if not sets[i].disjoint_from(sets[j]):
+                    raise ValidationError(f"terms {i} and {j} overlap: "
+                                          f"{sets[i].label()} vs {sets[j].label()}")
 
     @classmethod
     def indicator(cls, s: ClopenSet) -> "SimpleBoundaryFunction":
@@ -286,7 +296,7 @@ class SimpleBoundaryFunction:
 
     def cell_values(self) -> np.ndarray:
         """F on each of its depth-``cell_depth`` cells, in address order."""
-        return np.array([self.value_at_cell(a) for a in _addresses(self.cell_depth)])
+        return _cell_sums(self.terms, self.cell_depth)
 
     def root_value(self) -> float:
         return sum(c for c, s in self.terms if s.include_root)
@@ -308,29 +318,45 @@ class SimpleBoundaryFunction:
         return " + ".join(f"{c:g}*{s.label()}" for c, s in self.terms)
 
 
+def _cell_sums(terms, depth: int) -> np.ndarray:
+    """Each depth-``depth`` cell's sum of its terms' coefficients, in order."""
+    _check_cell_depth(depth)
+    total = np.zeros(2**depth)
+    for c, s in terms:
+        for p in s.prefixes:
+            total[cylinder_slice(p, depth + 1)] += c
+    return total
+
+
 def combine(
     pairs: Sequence[tuple[float, SimpleBoundaryFunction]],
 ) -> SimpleBoundaryFunction:
     """Linear combination of simple functions, refined to disjoint cells."""
     if not pairs:
         raise ValidationError("nothing to combine")
+    for i, (a, _) in enumerate(pairs):
+        _check_coefficient(a, f"term {i}")
     family = pairs[0][1].family
     for _, f in pairs[1:]:
         _check_same_family(family, f.family)
     depth = max(f.cell_depth for _, f in pairs)
-    by_value: dict[float, list[str]] = {}
-    for address in _addresses(depth):
-        value = sum(a * f.value_at_cell(address) for a, f in pairs)
-        if value != 0.0:
-            by_value.setdefault(value, []).append(address)
+    # Each cell adds its terms' products in pair order, as a scalar sum would.
+    total = _cell_sums([(a * c, s) for a, f in pairs for c, s in f.terms], depth)
+    # Runs of one value in address order, stably sorted by value: each
+    # value's intervals come together, in address order.
+    starts = np.flatnonzero(np.r_[True, total[1:] != total[:-1]])
+    spans = np.column_stack((starts, np.r_[starts[1:], len(total)]))
+    order = np.argsort(total[starts], kind="stable")
+    runs = zip(total[starts][order].tolist(), spans[order].tolist())
     root = sum(a * f.root_value() for a, f in pairs)
 
     terms: list[tuple[float, ClopenSet]] = []
-    for value in sorted(by_value):
+    for value, group in groupby(runs, lambda run: run[0]):
+        if value == 0.0:
+            continue
+        prefixes = _prefixes((run for _, run in group), depth)
         with_root = value == root and root != 0.0
-        terms.append(
-            (value, ClopenSet(family, tuple(by_value[value]), include_root=with_root))
-        )
+        terms.append((value, ClopenSet(family, prefixes, include_root=with_root)))
         if with_root:
             root = 0.0
     if root != 0.0:

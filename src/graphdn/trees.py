@@ -490,9 +490,9 @@ def address_index(g: MetricGraph) -> dict[str, int]:
 
 
 def _validate_prefix(prefix: str) -> None:
-    for ch in prefix:
-        if ch not in ADDRESS_ALPHABET:
-            raise DomainError(f"invalid address symbol {ch!r} in {prefix!r}")
+    rest = prefix.lstrip("".join(ADDRESS_ALPHABET))
+    if rest:
+        raise DomainError(f"invalid address symbol {rest[0]!r} in {prefix!r}")
 
 
 def _compatible(address: str, prefix: str) -> bool:
@@ -631,6 +631,8 @@ def add_shortcut_edges(
     """
     from scipy.sparse.csgraph import dijkstra
 
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed}")
     a, b, length, kappa2 = tree.edge_table
     ends, sizes, weights = [], [], []
     for u, v, size in shortcuts:

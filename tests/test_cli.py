@@ -1,9 +1,11 @@
 import contextlib
+import hashlib
 import io
 import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -570,3 +572,171 @@ def test_solve_requires_single_source(tmp_path, capsys):
     )
     assert code == 2
     assert "either" in err
+
+
+# Digests of stdout, -o and --plot-data for functions of several prefixes,
+# pinned so that no change to the clopen-set algebra moves a byte.
+PINNED_RUNS = [
+    ("converge --alpha 0.45 --F 2*cyl:ab-cyl:ba+0.25*cyl:bbb --E cyl:b --max-depth 10", 3,
+     "65ca2e322a7aefcd1e9fdd690188dde8234713bc1a1f9aa0720d1bc7cd736502",
+     "7d24a13934c2e1402a600fb44bcf0f0e530619234e9f02c8c28cc43cf624e733",
+     "03367b21d2fac50cd077ab896edf7566904dca89bb97cfbfa753b0aae58d6196"),
+    ("converge --alpha 0.3 --kappa2 4,1 --F cyl:aa+cyl:ab+cyl:b-v0 --E all --max-depth 9", 3,
+     "0d956a8897413b7108f78c24d77820b8fdc329a6c1c331e9028567d2cf270e83",
+     "0c5d6e6f6cf42811315533584e1f253abce15ff5874cbd78728976dd2dacf210",
+     "c197ec4f468d4b22577de6e14736f97d085197db1a7c34a477a81e0d148f2a9f"),
+    ("converge --alpha 0.3 --F cyl:aaaa+cyl:b --E cyl:b --max-depth 11", 3,
+     "e358c0a4c585ba3812a0c0ae2a07713b95c163492d83ba08046e281106b5bcc5",
+     "8e41a6360f1b1495adbe5e13a4e0b10402bea7154fd93f0f772a88f5f3a35d1a",
+     "18a1e708121b33e50074272f7648a4ee9682222025fba77708abafcc12b6c7f3"),
+    ("converge --alpha 0.7 --F cyl:aab+cyl:aba+cyl:abb-0.5*cantor+0.1*cyl:b --E cyl:ab "
+     "--max-depth 10", 3,
+     "20e998f90b1fd470f62f48ce5adb6caa022eceb00c38e48002a266b59d1c2cfd",
+     "341f49d25d39d678e93d9b4ae726e601a20604aeee07c32696e49ee393be0fa0",
+     "3f214ad8774d1d3161cc191396c1d35f2a6e1631872f96a74c2235b039b737dd"),
+    ("converge --alpha 0.3 --F 0.1*cyl:a+0.2*cyl:a-0.3*cyl:aa --E cyl:ab --tol 1e-3 "
+     "--max-depth 9", 3,
+     "cd65cf3abc6bd07704b8f049291dc47930bac6d2963130ae0421a9c1ee0e92e2",
+     "12e2ad86f3e14a223b4919e8878745c4fa747af8bb96dcaeed68b3b03d502f87",
+     "e67f7ece79c91d7f38fc136ff7282519c107fffed743aa51a01c17c898ac03cb"),
+    ("measure --alpha 0.3 --F cyl:a+2*cyl:bab-1e-3*v0 --partition-depth 3 --max-depth 10", 3,
+     "6240f7f9fc0569a1ff8ccd4ff7d8d65be83692cb27a5ea1b385d288768123d88",
+     "d377c006819ba17ed82e48c21e4710d7c7609ecc3e78b083038afe1cca7751b4"),
+    ("measure --alpha 0.6 --F cyl:aab+cyl:aba+cyl:abb-0.5*cantor --partition-depth 2 "
+     "--max-depth 9", 3,
+     "fb0a63d934f665d0945b02f1d0dffb09ca33d5d0777c522e2ed7b7a40632cb30",
+     "12e4a428064855c6898c5b0b4c68aa982b0a86320cc9e22f8917e0e712e718ae"),
+    ("measure --alpha 0.35 --kappa2 0,2 --F 0.3*all-0.3*cyl:ba+cyl:bba --partition-depth 4 "
+     "--max-depth 9", 3,
+     "8120f033319aa02c3b2d66f893f93f441e5c1fecfa5d045f39ea2461acd1eabf",
+     "26886fb58e35c9486c3c7a553b5085d21d275a54a533db4de8b83d0a85c13de1"),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, exit_code, stdout_digest, file_digests",
+    [(spec, code, out, files) for spec, code, out, *files in PINNED_RUNS],
+)
+def test_multi_prefix_runs_pinned(spec, exit_code, stdout_digest, file_digests, tmp_path,
+                                  capsys):
+    argv = spec.split()
+    flags = ["-o", "--plot-data"][: len(file_digests)]
+    paths = [tmp_path / f"out{k}" for k in range(len(flags))]
+    code, out, _ = run(capsys, *argv, *(x for f, p in zip(flags, paths) for x in (f, str(p))))
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
+    assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths] == file_digests
+
+
+def test_deep_prefix_converge_budget(capsys):
+    # F has 2**14 cells; its set algebra must not visit them one by one.
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "converge", "--alpha", "0.3", "--F", f"cyl:{'a' * 14}+cyl:b",
+                       "--E", "cyl:b", "--max-depth", "17")
+    assert time.perf_counter() - start < 2.0
+    assert code == 3 and out.startswith("depth value residual\n15 ")
+
+
+@pytest.mark.parametrize("command", [["solve", "--data", "default=0"], ["dn"]])
+def test_undecodable_graph_file_exits_2(command, tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"graphdn-graph 1\n\xff\xfe\n")
+    code, out, err = run(capsys, command[0], "--graph", str(path), *command[1:])
+    assert code == 2 and out == ""
+    assert err == f"error: graph file {path} is not UTF-8 text\n"
+
+
+def test_undecodable_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"alpha 0.3\n\xff\n")
+    code, out, err = run(capsys, "converge", "--config", str(path), "--F", "cyl:a",
+                         "--E", "cyl:a")
+    assert code == 2 and out == ""
+    assert err == f"error: config file {path} is not UTF-8 text\n"
+
+
+def test_negative_seed_exits_2(tmp_path, capsys):
+    target = tmp_path / "g.txt"
+    code, out, err = run(capsys, "generate", "--alpha", "0.3", "--depth", "4",
+                         "--shortcut", "@a,@bb,0.2", "--seed", "-1", "-o", str(target))
+    assert code == 2 and out == ""
+    assert err == "error: --seed must be nonnegative, got -1\n"
+    assert not target.exists()
+
+
+def test_non_finite_coefficient_is_named(capsys):
+    code, _, err = run(capsys, "converge", "--alpha", "0.3", "--F", "cyl:b+nan*cyl:a",
+                       "--E", "cyl:a")
+    assert code == 2
+    assert err == "error: non-finite coefficient nan in term 1\n"
+
+
+SHORTCUTS = st.sampled_from(
+    ["@a,@bb,0.2", "@aab,@ba,0.05", "0,3,1.5", "@a,@a,0.1", "v0,@b,1e-3"]
+)
+MALFORMED_GENERATE_FLAGS = (
+    "--alpha=0", "--alpha=nan", "--depth=0", "--depth=-3", "--kappa2=1,x",
+    "--root-length=-1", "--weight-ratio=inf", "--seed=-1", "--seed=-99999",
+    "--shortcut=@a,@zz,0.2", "--shortcut=@a,@b", "--shortcut=@a,@b,0",
+    "--shortcut=@a,@b,nan", "--shortcut=1000000000000000,0,1.0", "--shortcut=x,0,1",
+)
+
+
+@given(alpha=ALPHAS, depth=st.integers(1, 6), kappa2=KAPPA2,
+       shortcuts=st.lists(SHORTCUTS, max_size=3), seed=st.integers(0, 2**40),
+       malformed=st.none() | st.sampled_from(MALFORMED_GENERATE_FLAGS))
+@settings(max_examples=60, deadline=None)
+def test_generate_contract(alpha, depth, kappa2, shortcuts, seed, malformed):
+    argv = ["generate", f"--alpha={alpha}", f"--depth={depth}", f"--kappa2={kappa2}",
+            f"--seed={seed}", *(f"--shortcut={s}" for s in shortcuts)]
+    if malformed is not None:
+        argv.append(malformed)
+    _check_tree_contract(argv, ("-o",))
+
+
+# Token replacements for a graph file's records: malformed numbers, ids
+# far past any vertex count, and bytes that are not UTF-8.
+GRAPH_FILE_TOKENS = st.sampled_from(
+    ["x", "-1", "0", "nan", "inf", "-0.5", "1e15", "1000000000000000",
+     "100000000000000000000", "@zz", "@a", "-", "2.5", "\udcff"]
+)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    edits=st.lists(
+        st.tuples(st.sampled_from(["replace", "drop", "repeat"]), st.integers(0, 10**6),
+                  st.integers(0, 10), GRAPH_FILE_TOKENS),
+        max_size=3,
+    ),
+    command=st.sampled_from(["solve", "dn"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_graph_file_contract(seed, edits, command):
+    g = random_metric_graph(np.random.default_rng(seed), max_vertices=12)
+    lines = fileio.graph_to_string(g).splitlines()
+    for kind, at, field, token in edits:
+        k = at % len(lines)
+        fields = lines[k].split()
+        if kind == "replace" and fields:
+            fields[field % len(fields)] = token
+            lines[k] = " ".join(fields)
+        elif kind == "drop":
+            del lines[k]
+        else:
+            lines.insert(k, lines[k])
+        if not lines:
+            break
+    text = "\n".join(lines) + "\n"
+    extra = ["--data", "default=0.5"] if command == "solve" else []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graph.txt"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        first = _run_main([command, "--graph", str(path), *extra])
+        second = _run_main([command, "--graph", str(path), *extra])
+    code, out, err = first
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error:") and out == ""
+    assert second == first

@@ -205,3 +205,17 @@ def test_measure_table_records():
     assert lines[6] == "cell value residual converged"
     cells = [ln.split()[0] for ln in lines[7:]]
     assert cells == ["@a", "@b", "v0"]
+
+
+@pytest.mark.parametrize("big", [10**15, 10**20])
+def test_huge_vertex_ids_refused_before_allocating(big):
+    # Ids past the endpoint count leave vertex 2 without an edge; a table
+    # sized by the largest id would need petabytes.
+    text = f"graphdn-graph 1\nedge 0 1 1.0 1.0 0.0\nedge 1 {big} 1.0 1.0 0.0\nboundary 0\n"
+    with pytest.raises(ValidationError, match="^vertex 2 has no incident edge$"):
+        read_graph(io.StringIO(text))
+    with pytest.raises(ValidationError, match="^vertex 2 has no incident edge$"):
+        build_graph([(0, 1, 1.0), (big, 1, 1.0)])
+    with pytest.raises(ValidationError, match=r"endpoint ids must be nonnegative integers, "
+                                              rf"got \(1, -{big}\)"):
+        build_graph([(0, 1, 1.0), (1, -big, 1.0)])

@@ -277,3 +277,10 @@ class TestGraphReport:
             assert rep.total_volume == sum(e.length for e in g.edges)
             assert rep.total_weight == sum(e.weight for e in g.edges)
             assert rep.diameter_bound >= max(e.length for e in g.edges)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_shortcut_seed_must_be_nonnegative_integer(seed):
+    tree = generate_ab_tree(AlphaBetaSpec(alpha=0.3, depth=3))
+    with pytest.raises(ValidationError, match=f"seed must be a nonnegative integer, got {seed}"):
+        add_shortcut_edges(tree, [(1, 4, 0.2)], seed=seed)

@@ -1,7 +1,11 @@
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphdn import measure
 from graphdn.dirichlet import current_balance, solve_dirichlet
@@ -372,3 +376,168 @@ class TestQuadraticForm:
             f = SimpleBoundaryFunction(terms)
             value = quadratic_form(f, 6)
             assert value >= -1e-10 * max(1.0, abs(value))
+
+
+# Brute-force reference for the clopen-set algebra: a set is its frozenset
+# of depth-REF_DEPTH cells (indices in address order) plus the root flag.
+REF_DEPTH = 8
+REF_ADDRESSES = ["".join(t) for t in itertools.product("ab", repeat=REF_DEPTH)]
+REF_PREFIXES = [
+    "".join(t) for k in range(REF_DEPTH + 1) for t in itertools.product("ab", repeat=k)
+]
+REF_CYLINDER = {
+    q: frozenset(i for i, a in enumerate(REF_ADDRESSES) if a.startswith(q))
+    for q in REF_PREFIXES
+}
+REF_ALL = REF_CYLINDER[""]
+
+PREFIX_LISTS = st.lists(st.text("ab", max_size=REF_DEPTH), max_size=6)
+REF_SETS = st.tuples(PREFIX_LISTS, st.booleans())
+COEFFICIENTS = st.sampled_from(
+    [1.0, -1.0, 0.5, 2.0, -0.0, 0.0, 0.1, 0.2, 0.3, -0.3, 1e-3, 3.0]
+)
+
+
+def ref_cells(prefixes):
+    return frozenset().union(*(REF_CYLINDER[p] for p in prefixes))
+
+
+def ref_canonical(cells):
+    """The maximal cylinders inside the cells, in string order."""
+    return tuple(sorted(
+        q for q in REF_PREFIXES
+        if REF_CYLINDER[q] <= cells and not (q and REF_CYLINDER[q[:-1]] <= cells)
+    ))
+
+
+def ref_label(prefixes, root):
+    parts = [f"@{p}" for p in prefixes] + (["v0"] if root else [])
+    return "+".join(parts) if parts else "empty"
+
+
+def ref_combine(pairs):
+    """Terms of the linear combination of (values, root) functions.
+
+    Each cell's value is a scalar sum over the pairs in order; the terms are
+    the nonzero values in ascending order, the root joining the term of its
+    own value.
+    """
+    values = [sum(a * f[0][k] for a, f in pairs) for k in range(len(REF_ALL))]
+    root = whole_root = sum(a * f[1] for a, f in pairs)
+    by_value = {}
+    for k, value in enumerate(values):
+        if value != 0.0:
+            by_value.setdefault(value, set()).add(k)
+    terms = []
+    for value in sorted(by_value):
+        with_root = value == root and root != 0.0
+        terms.append((value, ref_canonical(frozenset(by_value[value])), with_root))
+        if with_root:
+            root = 0.0
+    if root != 0.0:
+        terms.append((root, (), True))
+    if not terms:
+        terms.append((0.0, ("",), False))
+    return terms, (values, whole_root)
+
+
+def ref_indicator(cells, root):
+    return [1.0 if k in cells else 0.0 for k in range(len(REF_ALL))], 1.0 if root else 0
+
+
+def terms_of(f):
+    return [(c, s.prefixes, s.include_root) for c, s in f.terms]
+
+
+def as_reprs(terms):
+    return [(repr(c), prefixes, root) for c, prefixes, root in terms]
+
+
+class TestAgainstBruteForce:
+    @given(first=REF_SETS, second=REF_SETS)
+    @settings(max_examples=150, deadline=None)
+    def test_sets(self, first, second):
+        (p, root), (q, other_root) = first, second
+        s, t = ClopenSet(FAM3, p, root), ClopenSet(FAM3, q, other_root)
+        cells, other = ref_cells(p), ref_cells(q)
+        assert s.prefixes == ref_canonical(cells)
+        assert s.label() == ref_label(s.prefixes, root)
+        c = s.complement()
+        assert (c.prefixes, c.include_root) == (ref_canonical(REF_ALL - cells), not root)
+        disjoint = not (cells & other) and not (root and other_root)
+        assert s.disjoint_from(t) == t.disjoint_from(s) == disjoint
+        # The same cells given cell by cell make an equal set.
+        by_cell = ClopenSet(FAM3, [REF_ADDRESSES[k] for k in cells], root)
+        assert by_cell == s and hash(by_cell) == hash(s)
+        assert (s == t) == (cells == other and root == other_root)
+
+    @given(terms=st.lists(st.tuples(COEFFICIENTS, REF_SETS), min_size=1, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_functions(self, terms):
+        sets = [(ref_cells(p), root) for _, (p, root) in terms]
+        clashes = [
+            (i, j)
+            for i, j in itertools.combinations(range(len(sets)), 2)
+            if sets[i][0] & sets[j][0] or sets[i][1] and sets[j][1]
+        ]
+        built = [(c, ClopenSet(FAM3, p, root)) for c, (p, root) in terms]
+        if clashes:
+            i, j = clashes[0]
+            with pytest.raises(ValidationError, match=f"^terms {i} and {j} overlap: "):
+                SimpleBoundaryFunction(built)
+            return
+        f = SimpleBoundaryFunction(built)
+        depth = f.cell_depth
+        coefficients = [c for c, _ in terms]
+        expected = [
+            sum(c for c, (cells, _) in zip(coefficients, sets)
+                if (k << (REF_DEPTH - depth)) in cells)
+            for k in range(2**depth)
+        ]
+        # Bit for bit: a -0.0 coefficient gives 0.0, as a scalar sum does.
+        assert [repr(x) for x in f.cell_values().tolist()] == [
+            repr(float(x)) for x in expected
+        ]
+
+    @given(
+        pairs=st.lists(st.tuples(COEFFICIENTS, REF_SETS), min_size=1, max_size=4),
+        outer=st.tuples(COEFFICIENTS, COEFFICIENTS, REF_SETS),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_combine(self, pairs, outer):
+        functions = [
+            (a, SimpleBoundaryFunction.indicator(ClopenSet(FAM3, p, root)),
+             ref_indicator(ref_cells(p), root))
+            for a, (p, root) in pairs
+        ]
+        f = combine([(a, g) for a, g, _ in functions])
+        expected, ref_f = ref_combine([(a, r) for a, _, r in functions])
+        assert as_reprs(terms_of(f)) == as_reprs(expected)
+        assert f.label() == " + ".join(
+            f"{c:g}*{ref_label(p, root)}" for c, p, root in expected
+        )
+        # Combining a combination refines it again.
+        b, c, (p, root) = outer
+        extra = SimpleBoundaryFunction.indicator(ClopenSet(FAM3, p, root))
+        g = combine([(b, f), (c, extra)])
+        expected, _ = ref_combine([(b, ref_f), (c, ref_indicator(ref_cells(p), root))])
+        assert as_reprs(terms_of(g)) == as_reprs(expected)
+
+
+class TestAddressCost:
+    def test_many_cell_set_budget(self):
+        cells = ["b" + "".join(t) for t in itertools.product("ab", repeat=15)]
+        start = time.perf_counter()
+        s = ClopenSet(FAM3, cells)
+        assert time.perf_counter() - start < 1.0
+        assert s.prefixes == ("b",)
+
+
+class TestNonFiniteCoefficients:
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_refused_and_named(self, c):
+        a = ClopenSet.cylinder(FAM3, "a")
+        with pytest.raises(ValidationError, match=f"non-finite coefficient {c!r} in term 1"):
+            SimpleBoundaryFunction(((1.0, ClopenSet.cylinder(FAM3, "b")), (c, a)))
+        with pytest.raises(ValidationError, match=f"non-finite coefficient {c!r} in term 1"):
+            combine([(2.0, indicator(FAM3, "b")), (c, indicator(FAM3, "a"))])
