@@ -22,9 +22,9 @@ from .dirichlet import (
     solve_dirichlet,
 )
 from .errors import DomainError, SingularInteriorError, ValidationError
-from .graph import MetricGraph, graph_report
+from .graph import MetricGraph, address_code, graph_report
 from .measure import ClopenSet, SimpleBoundaryFunction, combine
-from .trees import AlphaBetaSpec, add_shortcut_edges, address_index, generate_ab_tree
+from .trees import AlphaBetaSpec, add_shortcut_edges, generate_ab_tree
 
 __all__ = ["main"]
 
@@ -98,17 +98,17 @@ def _parse_function(family: AlphaBetaSpec, spec: str) -> SimpleBoundaryFunction:
 
 def _resolve_vertex(g: MetricGraph, token: str) -> int:
     token = token.strip()
-    if token == "v0":
-        if g.meta is not None:
-            for v, m in enumerate(g.meta):
-                if m is not None and m.level == 0:
-                    return v
-        raise ValidationError("graph has no designated root vertex")
-    if token.startswith("@"):
-        index = address_index(g)
-        if token[1:] not in index:
-            raise ValidationError(f"no vertex at address {token!r}")
-        return index[token[1:]]
+    if token == "v0" or token.startswith("@"):
+        code = 0 if token == "v0" else address_code(token[1:])
+        codes = g.address_codes
+        found = () if codes is None else np.flatnonzero(codes == code)
+        if len(found):
+            return int(found[0])
+        if token == "v0":
+            raise ValidationError("graph has no designated root vertex")
+        if codes is None:
+            raise DomainError("graph carries no address metadata")
+        raise ValidationError(f"no vertex at address {token!r}")
     try:
         return int(token)
     except ValueError:
@@ -230,7 +230,11 @@ def _cmd_solve(args) -> int:
     g = _load_graph(args)
     data = _parse_boundary_data(g, args.data)
     system = InteriorSystem(g)
-    sol = solve_dirichlet(g, data, system=system)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve_dirichlet(g, data, system=system)
+    checked = (sol.values, sol.boundary_derivatives, sol.energy)
+    if not all(np.isfinite(x).all() for x in checked):
+        raise DomainError("the solve overflows the float range")
     print(f"condition-estimate {system.condition_estimate:.6g}")
     _summarize_solution(g, sol, system)
     if args.solution_out:

@@ -51,7 +51,8 @@ class EdgeDNBlock:
         return ((self.h_aa, self.h_ab), (self.h_ba, self.h_bb))
 
 
-def _edge_arrays(lengths, kappa2) -> tuple[np.ndarray, np.ndarray]:
+def _edge_arrays(lengths, kappa2) -> tuple[np.ndarray, ...]:
+    """Checked ``lengths`` and ``kappa2``, broadcast, with ``kappa`` and ``z``."""
     lengths, kappa2 = np.broadcast_arrays(
         np.asarray(lengths, dtype=float), np.asarray(kappa2, dtype=float)
     )
@@ -61,7 +62,9 @@ def _edge_arrays(lengths, kappa2) -> tuple[np.ndarray, np.ndarray]:
     bad = ~((kappa2 >= 0.0) & np.isfinite(kappa2))
     if bad.any():
         raise DomainError(f"potential must be nonnegative, got {kappa2[bad].flat[0]}")
-    return lengths, kappa2
+    kappa = np.sqrt(kappa2)
+    with np.errstate(over="ignore"):  # z = inf takes the flat branch
+        return lengths, kappa2, kappa, kappa * lengths
 
 
 def edge_dn_blocks(lengths, kappa2) -> tuple[np.ndarray, np.ndarray]:
@@ -72,9 +75,7 @@ def edge_dn_blocks(lengths, kappa2) -> tuple[np.ndarray, np.ndarray]:
     (continuous with the zero-potential block), the hyperbolic formula in
     the middle, and the flat asymptote for huge ``z``.
     """
-    lengths, kappa2 = _edge_arrays(lengths, kappa2)
-    kappa = np.sqrt(kappa2)
-    z = kappa * lengths
+    lengths, kappa2, kappa, z = _edge_arrays(lengths, kappa2)
     diag = np.empty(z.shape)
     off = np.empty(z.shape)
     series = z < SERIES_PRODUCT
@@ -106,9 +107,7 @@ def edge_potential_weights(lengths, kappa2) -> np.ndarray:
     ``kappa2 l (1 - z**2 / 12) / 2``, exactly 0 without a potential.  Each
     branch is evaluated on its own edges only, as in :func:`edge_dn_blocks`.
     """
-    lengths, kappa2 = _edge_arrays(lengths, kappa2)
-    kappa = np.sqrt(kappa2)
-    z = kappa * lengths
+    lengths, kappa2, kappa, z = _edge_arrays(lengths, kappa2)
     w = np.empty(z.shape)
     series = z < SERIES_PRODUCT
     hyper = ~series
@@ -133,9 +132,7 @@ def edge_energies(lengths, kappa2, value_a, value_b) -> np.ndarray:
     ``SERIES_PRODUCT`` its Taylor form ``(2 + z**2 / 6) / l``.  Neither is
     read off the flux block, so the energy checks that block independently.
     """
-    lengths, kappa2 = _edge_arrays(lengths, kappa2)
-    kappa = np.sqrt(kappa2)
-    z = kappa * lengths
+    lengths, kappa2, kappa, z = _edge_arrays(lengths, kappa2)
     across = np.empty(z.shape)
     series = z < SERIES_PRODUCT
     hyper = ~series

@@ -10,9 +10,10 @@ Graph file grammar (one record per line, fields space-separated, floats in
     meta <vertex> <level> <@address|->           # optional, ascending vertex
 
 Addresses are written with a leading ``@`` so the empty address stays
-visible; ``-`` marks a vertex with a level but no address (the tree root).
-The reader refuses a record with the wrong number of fields, an address
-outside ``{a, b}``, a second ``vertices`` or ``boundary`` record, and a
+visible; ``-`` marks the root, at level 0, and other levels are the address
+length + 1.  The reader refuses a record with the wrong number of fields,
+an address outside ``{a, b}`` or of 63 symbols or more, a level that does
+not match its address, a second ``vertices`` or ``boundary`` record, and a
 second ``meta`` record for one vertex.
 Solution, Dirichlet-to-Neumann, convergence, and measure-table writers emit
 similar fixed-order records and are documented by example in the README.
@@ -28,9 +29,8 @@ import numpy as np
 
 from .dirichlet import DirichletSolution, DNMatrix
 from .errors import ValidationError
-from .graph import Edge, MetricGraph, VertexMeta, build_graph
+from .graph import Edge, MetricGraph, _graph_from_edges, address_code, address_of
 from .measure import ConvergenceReport, MeasureTable
-from .trees import _validate_prefix
 
 __all__ = [
     "write_graph",
@@ -56,19 +56,6 @@ def _writable(target):
         yield target
 
 
-def _fmt_address(address: str | None) -> str:
-    return "-" if address is None else "@" + address
-
-
-def _parse_address(token: str) -> str | None:
-    if token == "-":
-        return None
-    if not token.startswith("@"):
-        raise ValueError(f"address {token!r} lacks its '@'")
-    _validate_prefix(token[1:])  # a DomainError is a ValueError
-    return token[1:]
-
-
 def _reprs(column: np.ndarray) -> list[str]:
     """The ``repr`` of each float, formatted once per distinct value.
 
@@ -91,10 +78,12 @@ def write_graph(g: MetricGraph, target) -> None:
             for x, y, s, w, k in zip(a.tolist(), b.tolist(), *floats)
         )
         fh.write("boundary" + "".join(f" {v}" for v in g.boundary_vertices) + "\n")
-        if g.meta is not None:
-            for v, m in enumerate(g.meta):
-                if m is not None:
-                    fh.write(f"meta {v} {m.level} {_fmt_address(m.address)}\n")
+        if g.address_codes is not None:
+            (tagged,) = np.nonzero(g.address_codes >= 0)
+            fh.writelines(
+                f"meta {v} {c.bit_length()} {'@' + address_of(c) if c else '-'}\n"
+                for v, c in zip(tagged.tolist(), g.address_codes[tagged].tolist())
+            )
 
 
 def read_graph(source) -> MetricGraph:
@@ -110,7 +99,7 @@ def read_graph(source) -> MetricGraph:
         raise ValidationError(f"not a graph file (expected '{GRAPH_MAGIC}' header)")
     edges: list[Edge] = []
     boundary: list[int] | None = None
-    meta: dict[int, VertexMeta] = {}
+    meta: dict[int, tuple[int, int]] = {}
     declared = None
     for ln in lines[1:]:
         fields = ln.split()
@@ -142,14 +131,18 @@ def read_graph(source) -> MetricGraph:
                 v = int(fields[1])
                 if v in meta:
                     raise ValidationError(f"vertex {v} has two meta records")
-                meta[v] = VertexMeta(int(fields[2]), _parse_address(fields[3]))
+                level, token = int(fields[2]), fields[3]
+                if token != "-" and token[0] != "@":
+                    raise ValueError(f"address {token!r} lacks its '@'")
+                # A bad symbol's DomainError is a ValueError.
+                meta[v] = (level, address_code(None if token == "-" else token[1:]))
         except ValueError as exc:
             if isinstance(exc, ValidationError):
                 raise
             raise ValidationError(f"malformed graph record: {ln!r}") from exc
     if boundary is None:
         raise ValidationError("graph file has no boundary record")
-    g = build_graph(edges, boundary=boundary, meta=meta or None)
+    g = _graph_from_edges(edges, boundary=boundary, records=meta or None)
     if declared is not None and declared != g.n_vertices:
         raise ValidationError(
             f"graph file declares {declared} vertices but edges span "

@@ -13,6 +13,9 @@ Builders reject nonpositive lengths or weights, negative potentials,
 disconnected graphs and an address shared by two vertices; loops and
 parallel edges are split at midpoints rather than rejected.
 
+Tree metadata is one int64 column, ``MetricGraph.address_codes``, of
+:func:`address_code` values; ``MetricGraph.meta`` shows it as records.
+
 A graph is its edge table: ``MetricGraph.edge_table`` holds the endpoints,
 lengths and potentials and ``MetricGraph.weights`` the weights, as read-only
 arrays in edge order.  Degrees, adjacency, the vertex adjacency matrix, the
@@ -47,6 +50,8 @@ if TYPE_CHECKING:
 __all__ = [
     "Edge",
     "VertexMeta",
+    "address_code",
+    "address_of",
     "GraphPoint",
     "MetricGraph",
     "GraphReport",
@@ -80,6 +85,28 @@ class VertexMeta:
     address: str | None = None
 
 
+_BITS, _SYMBOLS = str.maketrans("ab", "01"), str.maketrans("01", "ab")
+
+
+def address_code(address: str | None) -> int:
+    """An address's code: a 1, then one bit per symbol (a = 0, b = 1).
+
+    The root's code is 0, so a level is a code's bit length, and the parent
+    of code ``c`` is ``c // 2``.
+    """
+    if address is None:
+        return 0
+    rest = address.lstrip("ab")
+    if rest:
+        raise DomainError(f"invalid address symbol {rest[0]!r} in {address!r}")
+    return int("1" + address.translate(_BITS), 2)
+
+
+def address_of(code: int) -> str | None:
+    """The address of a code: ``None`` for the root's 0."""
+    return bin(code)[3:].translate(_SYMBOLS) if code else None
+
+
 @dataclass(frozen=True)
 class GraphPoint:
     """A point on a metric graph: an edge index plus offset from endpoint a."""
@@ -97,8 +124,9 @@ class MetricGraph:
     endpoints, lengths and potentials ``(a, b, length, kappa2)`` and
     ``weights`` the edge weights, as read-only arrays in edge order.
     ``boundary`` holds every degree-one vertex plus any explicitly marked
-    relative-boundary vertices.  Two graphs are equal when their vertices,
-    edges, boundary and metadata are.
+    relative-boundary vertices.  ``address_codes`` holds the vertices'
+    address codes, -1 for none, in graphs with tree metadata.  Two graphs
+    are equal when their vertices, edges, boundary and metadata are.
     """
 
     n_vertices: int
@@ -107,17 +135,17 @@ class MetricGraph:
     )
     weights: np.ndarray = field(repr=False)
     boundary: frozenset[int]
-    meta: tuple[VertexMeta | None, ...] | None = None
+    address_codes: np.ndarray | None = field(default=None, repr=False)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MetricGraph):
             return NotImplemented
-        mine = (*self.edge_table, self.weights)
-        theirs = (*other.edge_table, other.weights)
+        # np.array_equal holds None equal to None only.
+        mine = (*self.edge_table, self.weights, self.address_codes)
+        theirs = (*other.edge_table, other.weights, other.address_codes)
         return (
             self.n_vertices == other.n_vertices
             and self.boundary == other.boundary
-            and self.meta == other.meta
             and all(map(np.array_equal, mine, theirs))
         )
 
@@ -141,6 +169,16 @@ class MetricGraph:
                 Edge, a.tolist(), b.tolist(), length.tolist(),
                 self.weights.tolist(), kappa2.tolist(),
             )
+        )
+
+    @cached_property
+    def meta(self) -> tuple[VertexMeta | None, ...] | None:
+        """Per vertex, ``address_codes`` as a :class:`VertexMeta` or ``None``."""
+        if self.address_codes is None:
+            return None
+        return tuple(
+            None if c < 0 else VertexMeta(c.bit_length(), address_of(c))
+            for c in self.address_codes.tolist()
         )
 
     @cached_property
@@ -274,8 +312,9 @@ def _split_conflicts(
 def _graph_from_table(
     columns: tuple[np.ndarray, ...],
     boundary: Iterable[int] | None = None,
-    meta: Mapping[int, VertexMeta] | None = None,
+    records: Mapping[int, tuple[int, int]] | None = None,
     edges: list[Edge] | None = None,
+    codes: np.ndarray | None = None,
 ) -> MetricGraph:
     """Validate an edge table and assemble its :class:`MetricGraph`.
 
@@ -283,7 +322,9 @@ def _graph_from_table(
     endpoints as ``intp`` and the rest as floats; the graph owns them.  This
     is every builder's one validation path.  ``edges``, when the table was
     made from them, name bad fields as given and become ``MetricGraph.edges``
-    unless a loop or parallel edge was split.
+    unless a loop or parallel edge was split.  Tree metadata comes as
+    ``records`` ``{vertex: (level, code)}``, checked here, or as the
+    ``codes`` of a generated or already checked graph.
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
@@ -339,23 +380,28 @@ def _graph_from_table(
             element=("vertex", v),
         )
 
-    meta_tuple: tuple[VertexMeta | None, ...] | None = None
-    if meta is not None:
-        owners: dict[str, int] = {}
-        for v, m in meta.items():
-            if not (0 <= v < n):
+    if records is not None:
+        owners: dict[int, int] = {}
+        for v, (level, code) in records.items():
+            if not (0 <= v < len(deg)):
                 raise ValidationError(
                     f"metadata refers to unknown vertex {v}", element=("vertex", v)
                 )
-            if m is not None and m.address is not None:
-                owner = owners.setdefault(m.address, v)
-                if owner != v:
-                    raise ValidationError(
-                        f"vertices {owner} and {v} share the address @{m.address}",
-                        element=("vertex", v),
-                    )
-        meta_tuple = tuple(meta.get(v) for v in range(n))
-
+            owner = owners.setdefault(code, v)
+            fits = level == code.bit_length() <= 63  # the int64 column's bits
+            if owner != v or not fits:
+                token = f"@{address_of(code)}" if code else "-"
+                raise ValidationError(
+                    f"vertices {owner} and {v} share the address {token}" if fits else
+                    f"vertex {v} has level {level} with address {token}: a level is "
+                    "the address length + 1, at most 63, or 0 with -",
+                    element=("vertex", v),
+                )
+        codes = np.full(len(deg), -1, dtype=np.int64)
+        codes[list(owners.values())] = list(owners)
+    if codes is not None:  # split midpoints carry no metadata
+        codes = np.concatenate((codes, np.full(n - len(codes), -1)))
+        codes.flags.writeable = False
     for column in columns:
         column.flags.writeable = False
     a, b, length, weight, kappa2 = columns
@@ -364,7 +410,7 @@ def _graph_from_table(
         edge_table=(a, b, length, kappa2),
         weights=weight,
         boundary=bset,
-        meta=meta_tuple,
+        address_codes=codes,
     )
     if edges is not None:
         vars(g)["edges"] = tuple(edges)  # the cached property's value
@@ -396,7 +442,20 @@ def build_graph(
     degree-one vertex and may add relative-boundary vertices of higher
     degree.  Loops and parallel edges are subdivided at midpoints; the
     inserted midpoint vertices carry no metadata and are never boundary.
+    A ``meta`` level is the address length + 1, or 0 for the root.
     """
+    records = meta and {
+        v: (m.level, address_code(m.address)) for v, m in meta.items() if m
+    }
+    return _graph_from_edges(descriptors, boundary, records)
+
+
+def _graph_from_edges(
+    descriptors: Iterable,
+    boundary: Iterable[int] | None = None,
+    records: Mapping[int, tuple[int, int]] | None = None,
+) -> MetricGraph:
+    """:func:`build_graph` with metadata records ``{vertex: (level, code)}``."""
     edges = [item if isinstance(item, Edge) else Edge(*item) for item in descriptors]
     edges = [e if _int_ids(e) else _int_endpoints(e) for e in edges]
     # An edge with a non-integer id enters the table with ids -1.
@@ -416,7 +475,7 @@ def build_graph(
         np.array([e.weight for e in edges], dtype=float),
         np.array([e.kappa2 for e in edges], dtype=float),
     )
-    return _graph_from_table(columns, boundary, meta, edges)
+    return _graph_from_table(columns, boundary, records, edges)
 
 
 def _as_point(g: MetricGraph, p) -> GraphPoint:

@@ -38,9 +38,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, ValidationError
+from .graph import address_of
 from .trees import (
-    ADDRESS_ALPHABET,
+    MAX_SWEEP_EDGES,
     AlphaBetaSpec,
+    _address_codes,
     _check_cell_depth,
     cell_fluxes,
     cylinder_leaves,
@@ -72,10 +74,7 @@ def _addresses(depth: int) -> list[str]:
     ``MAX_SWEEP_EDGES`` resolves.
     """
     _check_cell_depth(depth)
-    out = [""]
-    for _ in range(depth):
-        out = [a + ch for a in out for ch in ADDRESS_ALPHABET]
-    return out
+    return list(map(address_of, range(1 << depth, 2 << depth)))
 
 
 def _intervals(prefixes: Iterable[str], depth: int) -> list[list[int]]:
@@ -98,9 +97,8 @@ def _prefixes(intervals: Iterable[Sequence[int]], depth: int) -> tuple[str, ...]
             # The largest block that starts aligned at lo and ends by hi.
             align = (lo & -lo or 1 << depth).bit_length()
             shift = min(align, (hi - lo).bit_length()) - 1
-            # Its address spells the bits of lo above the shift (after a marker).
-            bits = bin((lo >> shift) | (1 << (depth - shift)))[3:]
-            out.append(bits.replace("0", "a").replace("1", "b"))
+            # Its address code: a marker bit, then the bits of lo above the shift.
+            out.append(address_of((lo >> shift) | (1 << (depth - shift))))
             lo += 1 << shift
     return tuple(out)
 
@@ -208,8 +206,7 @@ class ClopenSet:
         The ascending union of :func:`cylinder_leaves` over the prefixes,
         plus the root boundary vertex when ``include_root`` is set.
         """
-        if graph.meta is None:
-            raise DomainError("graph carries no address metadata")
+        _address_codes(graph)  # refuses a graph without metadata
         verts = set()
         for p in self.prefixes:
             verts.update(cylinder_leaves(graph, p))
@@ -303,15 +300,11 @@ class SimpleBoundaryFunction:
 
     def boundary_data(self, graph) -> dict[int, float]:
         """Dirichlet data on a truncation: each cell's value of F."""
-        data: dict[int, float] = {}
-        for v in graph.boundary_vertices:
-            m = graph.meta[v]
-            if m is None or (m.address is None and m.level != 0):
+        ends, data = graph.boundary_vertices, {}
+        for v, c in zip(ends, _address_codes(graph)[list(ends)].tolist()):
+            if c < 0:
                 raise DomainError(f"boundary vertex {v} carries no address")
-            if m.address is None:
-                data[v] = self.root_value()
-            else:
-                data[v] = self.value_at_cell(m.address)
+            data[v] = self.value_at_cell(address_of(c)) if c else self.root_value()
         return data
 
     def label(self) -> str:
@@ -373,12 +366,17 @@ def _cell_fluxes(
     """Fluxes of F's truncations through cells fine enough for F and E.
 
     One :func:`cell_fluxes` call over ``depths``, read on the cells of
-    depth ``max(f.cell_depth, cell_depth)``.
+    depth ``max(f.cell_depth, cell_depth)``.  Refuses data so large that a
+    flux overflows, with no floating-point warnings.
     """
-    return cell_fluxes(
-        f.family, f.cell_values(), f.root_value(), depths,
-        max(f.cell_depth, cell_depth),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        cells, root = cell_fluxes(
+            f.family, f.cell_values(), f.root_value(), depths,
+            max(f.cell_depth, cell_depth),
+        )
+    if not (np.isfinite(cells).all() and np.isfinite(root).all()):
+        raise DomainError("a cell flux overflows the float range")
+    return cells, root
 
 
 def dn_at_depth(f: SimpleBoundaryFunction, e: ClopenSet, depth: int) -> float:
@@ -452,6 +450,9 @@ def _depth_range(lowest: int, n_min: int | None, n_max: int) -> range:
         raise DomainError(f"n_min {start} too shallow; need >= {lowest}", "n_min")
     if n_max < start:
         raise DomainError(f"n_max {n_max} below the starting depth {start}", "n_max")
+    if n_max > (deepest := MAX_SWEEP_EDGES.bit_length()):
+        raise DomainError(f"n_max {n_max} exceeds the level-array limit of "
+                          f"{MAX_SWEEP_EDGES} edges (largest depth {deepest})", "n_max")
     return range(start, n_max + 1)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .edge import edge_dn_blocks, edge_potential_weights
 from .errors import DomainError, ValidationError
-from .graph import MetricGraph, VertexMeta, _graph_from_table
+from .graph import MetricGraph, _graph_from_table, address_code, address_of
 
 # build_graph stays a module attribute: perfbench's trace probes wrap it here.
 from .graph import build_graph  # noqa: F401
@@ -50,15 +50,14 @@ __all__ = [
 ]
 
 _MIN_EDGE_LENGTH = 1e-300
-ADDRESS_ALPHABET = ("a", "b")
 
 # Size ceilings, in edges, checked before anything is allocated.  Peak RSS
 # above the import baseline, measured for one alpha = 0.3 call on a 7 GB,
-# 2-core x86-64 VM (CPython 3.11, numpy 2.4): generate_ab_tree took 15 MB at
-# depth 15 and 61 MB at depth 17 (about 0.47 KB per edge, nearly all of it
-# the VertexMeta objects, their addresses and the meta tuple; the edge table
-# is 40 B per edge); a level sweep took 56 MB at depth 20 and 227 MB at
-# depth 22 (about 57 B per edge).
+# 2-core x86-64 VM (CPython 3.11, numpy 2.4): generate_ab_tree took 6 MB at
+# depth 15, 26 MB at depth 17 and 105 MB at depth 19 (about 0.2 KB per
+# edge: the table check's scratch arrays, over a 40 B per edge table and an
+# 8 B per vertex address-code column); a level sweep took 56 MB at depth 20
+# and 227 MB at depth 22 (about 57 B per edge).
 # MAX_SWEEP_EDGES bounds the truncation depth n of level_sweep and
 # cell_fluxes, and so the depth M < n of the cells read.  cell_fluxes
 # tabulates subtrees per level and class (k classes at level k, 300 in all
@@ -66,7 +65,7 @@ ADDRESS_ALPHABET = ("a", "b")
 # M, so at most 2**(n - 1) cell entries: 0.08 MB (traced) for exhaustion
 # through shallow cells at depth 24, and 0.27 GB (34 B per entry) through
 # a depth-23 cell.  Each ceiling keeps one call under about 1 GB: depth 20
-# (0.5 GB predicted) for the graph, depth 24 for the sweep.
+# (0.2 GB predicted) for the graph, depth 24 for the sweep.
 MAX_GRAPH_EDGES = 2**20 - 1
 MAX_SWEEP_EDGES = 2**24 - 1
 
@@ -206,9 +205,9 @@ def generate_ab_tree(spec: AlphaBetaSpec) -> MetricGraph:
 
     Vertex 0 is the root boundary vertex, vertex 1 the first branching
     vertex; deeper vertices appear level by level in address order, so the
-    parent of vertex ``v >= 2`` is ``v // 2``.  The boundary is the root
-    vertex plus the deepest generation; metadata carries each vertex's
-    level and address.  Refuses depths beyond ``MAX_GRAPH_EDGES``.
+    parent of vertex ``v >= 2`` is ``v // 2`` and each vertex id is its
+    address code.  The boundary is the root vertex plus the deepest
+    generation.  Refuses depths beyond ``MAX_GRAPH_EDGES``.
     """
     _check_depth(spec, MAX_GRAPH_EDGES, "metric-graph")
     # Edge i enters vertex i + 1 from its parent; level k holds 2**(k - 1)
@@ -225,15 +224,9 @@ def generate_ab_tree(spec: AlphaBetaSpec) -> MetricGraph:
         np.repeat(weights, per_level),
         np.repeat(kappa2, per_level),
     )
-    meta = [VertexMeta(level=0, address=None), VertexMeta(level=1, address="")]
-    addresses = [""]
-    for level in levels[1:]:
-        addresses = [p + ch for p in addresses for ch in ADDRESS_ALPHABET]
-        meta += [VertexMeta(level, address) for address in addresses]
     leaves = range(2 ** (spec.depth - 1), 2**spec.depth)
-    return _graph_from_table(
-        columns, boundary={0, *leaves}, meta=dict(enumerate(meta))
-    )
+    codes = np.arange(2**spec.depth, dtype=np.int64)
+    return _graph_from_table(columns, boundary={0, *leaves}, codes=codes)
 
 
 @dataclass(frozen=True)
@@ -472,31 +465,26 @@ def cylinder_slice(prefix: str, depth: int) -> slice:
     The depth-``depth`` leaves are the ``2**(depth - 1)`` addresses of
     length ``depth - 1``; those extending ``prefix`` are contiguous.
     """
-    _validate_prefix(prefix)
+    code = address_code(prefix)
     shift = depth - 1 - len(prefix)
     if shift < 0:
         raise DomainError(f"prefix {prefix!r} is deeper than the depth-{depth} leaves")
-    index = int(prefix.replace("a", "0").replace("b", "1") or "0", 2)
-    return slice(index << shift, (index + 1) << shift)
+    # A leaf's position is its code less the first leaf's, 1 << (depth - 1).
+    first = (code << shift) - (1 << (depth - 1))
+    return slice(first, first + (1 << shift))
+
+
+def _address_codes(g: MetricGraph, what: str = "address") -> np.ndarray:
+    if g.address_codes is None:
+        raise DomainError(f"graph carries no {what} metadata")
+    return g.address_codes
 
 
 def address_index(g: MetricGraph) -> dict[str, int]:
     """Map each vertex address to its id; requires tree metadata."""
-    if g.meta is None:
-        raise DomainError("graph carries no address metadata")
-    return {
-        m.address: v for v, m in enumerate(g.meta) if m is not None and m.address is not None
-    }
-
-
-def _validate_prefix(prefix: str) -> None:
-    rest = prefix.lstrip("".join(ADDRESS_ALPHABET))
-    if rest:
-        raise DomainError(f"invalid address symbol {rest[0]!r} in {prefix!r}")
-
-
-def _compatible(address: str, prefix: str) -> bool:
-    return address.startswith(prefix) or prefix.startswith(address)
+    codes = _address_codes(g)
+    (tagged,) = np.nonzero(codes > 0)
+    return dict(zip(map(address_of, codes[tagged].tolist()), tagged.tolist()))
 
 
 def cylinder_leaves(
@@ -509,24 +497,21 @@ def cylinder_leaves(
     other.  ``include_root_vertex`` prepends the root boundary vertex, for
     clopen sets that contain it.
     """
-    _validate_prefix(prefix)
-    if g.meta is None:
-        raise DomainError("graph carries no address metadata")
-    out = []
-    root = None
-    for v in g.boundary_vertices:
-        m = g.meta[v]
-        if m is None:
-            continue
-        if m.address is None:
-            root = v
-            continue
-        if _compatible(m.address, prefix):
-            out.append(v)
+    # Only a prefix's first 62 symbols can meet a code of the column.
+    code = address_code(prefix) >> max(len(prefix) - 62, 0)
+    ends = np.array(g.boundary_vertices, dtype=np.intp)
+    codes = _address_codes(g)[ends]
+    # One address extends the other when the longer code, cut to the
+    # shorter one's bit length, equals it.
+    bits, top = np.searchsorted(1 << np.arange(63), codes, "right"), code.bit_length()
+    common = np.minimum(bits, top)
+    meets = (codes > 0) & (codes >> (bits - common) == code >> (top - common))
+    out = ends[meets].tolist()
     if include_root_vertex:
-        if root is None:
+        roots = ends[codes == 0]
+        if not len(roots):
             raise DomainError("graph has no root boundary vertex")
-        return tuple([root] + out)
+        return (int(roots[0]), *out)
     return tuple(out)
 
 
@@ -554,40 +539,36 @@ class HarmonicClosedForm:
         return self.root_value + self.root_slope * self.spec.root_length / (1.0 - ab)
 
     def vertex_value(self, address: str) -> float:
-        _validate_prefix(address)
+        address_code(address)  # refuses a bad symbol
         return self.value_at_level(len(address) + 1)
 
     def slope_below(self, address: str) -> float:
         """Descending slope on the edge entering the vertex at ``address``."""
-        _validate_prefix(address)
+        address_code(address)  # refuses a bad symbol
         slope = self.root_slope
         for ch in address:
             slope *= self.spec.beta if ch == "a" else self.spec.alpha
         return slope
 
     def values_on(self, g: MetricGraph) -> np.ndarray:
-        if g.meta is None:
-            raise DomainError("graph carries no level metadata")
-        out = np.empty(g.n_vertices)
-        for v in range(g.n_vertices):
-            m = g.meta[v]
-            if m is None:
+        out = []
+        for v, code in enumerate(_address_codes(g, "level").tolist()):
+            if code < 0:
                 raise DomainError(f"vertex {v} carries no level metadata")
-            out[v] = self.root_value if m.level == 0 else self.value_at_level(m.level)
-        return out
+            level = code.bit_length()
+            out.append(self.value_at_level(level) if level else self.root_value)
+        return np.array(out)
 
     def descending_slopes_on(self, g: MetricGraph) -> np.ndarray:
-        """Per-edge descending slope, indexed like ``g.edges``."""
-        if g.meta is None:
-            raise DomainError("graph carries no address metadata")
-        out = np.empty(len(g.edges))
-        for i, e in enumerate(g.edges):
-            ma, mb = g.meta[e.a], g.meta[e.b]
-            if ma is None or mb is None:
+        """Per-edge descending slope, in edge order."""
+        codes, out = _address_codes(g), []
+        a, b, _, _ = g.edge_table
+        for i, ends in enumerate(zip(codes[a].tolist(), codes[b].tolist())):
+            if min(ends) < 0:
                 raise DomainError(f"edge {i} endpoint carries no metadata")
-            child = mb if mb.level > ma.level else ma
-            out[i] = self.slope_below(child.address)
-        return out
+            # The deeper endpoint is the child, the a-endpoint on a tie.
+            out.append(self.slope_below(address_of(max(ends, key=int.bit_length))))
+        return np.array(out)
 
     def boundary_data(self, g: MetricGraph) -> dict[int, float]:
         values = self.values_on(g)
@@ -656,10 +637,7 @@ def add_shortcut_edges(
         np.concatenate((tree.weights, weights)),
         np.concatenate((kappa2, np.zeros(len(sizes)))),
     )
-    meta_map = None
-    if tree.meta is not None:
-        meta_map = {v: m for v, m in enumerate(tree.meta) if m is not None}
-    decorated = _graph_from_table(columns, boundary=tree.boundary, meta=meta_map)
+    decorated = _graph_from_table(columns, tree.boundary, codes=tree.address_codes)
 
     nonincreasing = all(
         sizes[i + 1] <= sizes[i] + 1e-15 for i in range(len(sizes) - 1)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from graphdn import cli, dirichlet, fileio, trees
 from graphdn.cli import main
 from graphdn.fileio import read_graph
-from graphdn.graph import Edge, MetricGraph
+from graphdn.graph import Edge, MetricGraph, VertexMeta
 
 from conftest import random_metric_graph
 from oracles import resistance_flux
@@ -91,6 +91,26 @@ def test_generate_builds_no_edge_objects(tmp_path, monkeypatch, capsys):
     )
     assert code == 0, err
     assert "shortcuts 2" in out
+
+
+def _no_vertex_meta(*args, **kwargs):
+    raise AssertionError("a VertexMeta was built")
+
+
+def test_graph_path_builds_no_vertex_meta(tmp_path, monkeypatch, capsys):
+    # Generation, decoration, the graph file and the v0 and @ADDRESS data
+    # keys all read the address-code column.
+    monkeypatch.setattr(VertexMeta, "__init__", _no_vertex_meta)
+    path = tmp_path / "g.txt"
+    code, _, err = run(
+        capsys, "generate", "--alpha", "0.3", "--depth", "6", "--kappa2", "1,2",
+        "--shortcut", "@a,@bb,0.5", "--shortcut", "1,2,0.25", "-o", str(path),
+    )
+    assert code == 0, err
+    code, out, err = run(capsys, "solve", "--graph", str(path),
+                         "--data", "v0=1.5,@abbab=-1,default=0.25")
+    assert code == 0, err
+    assert "energy" in out
 
 
 def test_dn_on_unit_interval(tmp_path, capsys):
@@ -401,12 +421,15 @@ def test_deep_cells_refused_before_enumeration(argv):
     assert "Traceback" not in done.stderr
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"),
-                    reason="ru_maxrss is in KiB on Linux only")
-def test_deepest_cell_exhaustion_peak_rss():
-    # E at depth 23 is read on the 2**23 cells of the depth-24 truncation.
-    # The child's peak RSS, interpreter and scipy included (about 60 MB),
-    # measured 361 MB on x86-64 Linux (CPython 3.11, numpy 2.4).
+LINUX_RSS = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                               reason="ru_maxrss is in KiB on Linux only")
+
+
+def _run_child(*argv):
+    """Run ``graphdn`` in a child interpreter; return it and its peak RSS in MB.
+
+    The peak includes the interpreter and scipy, about 60 MB.
+    """
     child = (
         "import resource, sys\n"
         "from graphdn.cli import main\n"
@@ -415,17 +438,82 @@ def test_deepest_cell_exhaustion_peak_rss():
         "print(f'peak-kib {peak}', file=sys.stderr)\n"
         "sys.exit(code)\n"
     )
-    argv = ["converge", "--alpha", "0.3", "--F", "cyl:a", "--E", "cyl:" + "a" * 23,
-            "--max-depth", "24"]
     done = subprocess.run(
         [sys.executable, "-c", child, *argv], env=_child_env(),
         capture_output=True, text=True, timeout=300,
     )
+    return done, int(done.stderr.split()[-1]) / 1024
+
+
+@LINUX_RSS
+def test_deepest_cell_exhaustion_peak_rss():
+    # E at depth 23 is read on the 2**23 cells of the depth-24 truncation.
+    # The child's peak RSS measured 361 MB on x86-64 Linux (CPython 3.11,
+    # numpy 2.4).
+    done, peak_mb = _run_child(
+        "converge", "--alpha", "0.3", "--F", "cyl:a", "--E", "cyl:" + "a" * 23,
+        "--max-depth", "24",
+    )
     # One depth gives no residuals, so the run cannot converge.
     assert done.returncode == 3, done.stderr
     assert "converged no" in done.stdout
-    peak_mb = int(done.stderr.split()[-1]) / 1024
     assert peak_mb <= 450
+
+
+@LINUX_RSS
+def test_generate_depth_18_peak_rss(tmp_path):
+    # Vertex metadata is one int64 code per vertex.  Measured on x86-64
+    # Linux (CPython 3.11, numpy 2.4): 134 MB, and 186 MB with one
+    # VertexMeta object per vertex.
+    done, peak_mb = _run_child("generate", "--alpha", "0.3", "--depth", "18",
+                               "-o", str(tmp_path / "g.txt"))
+    assert done.returncode == 0, done.stderr
+    assert "edges 262143" in done.stdout
+    assert peak_mb <= 160
+
+
+@LINUX_RSS
+@pytest.mark.parametrize("command", [["converge", "--E", "cyl:b"], ["measure"]])
+def test_max_depth_refused_before_depths_exist(command):
+    # Enumerating 10**7 depths takes about 519 MB; the refusal needs no
+    # more than the child's 60 MB.
+    done, peak_mb = _run_child(*command, "--alpha", "0.3", "--F", "cyl:a",
+                               "--max-depth", "10000000")
+    assert done.returncode == 2
+    assert done.stderr.startswith(
+        f"error: --max-depth 10000000 exceeds the level-array limit of "
+        f"{trees.MAX_SWEEP_EDGES} edges"
+    )
+    assert peak_mb <= 150
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--alpha", "0.3", "--depth", "2", "--data", "default=1e308"],
+        ["solve", "--alpha", "0.3", "--depth", "2", "--data", "default=1e300"],
+        ["converge", "--alpha", "0.3", "--F", "1e308*cyl:a", "--E", "cyl:b",
+         "--max-depth", "6"],
+        ["converge", "--alpha", "0.3", "--F", "1e308*cyl:a-1e308*cyl:b", "--E", "all",
+         "--max-depth", "6"],
+        ["measure", "--alpha", "0.3", "--F", "1e308*cyl:a", "--max-depth", "6"],
+    ],
+)
+def test_overflow_exits_2(argv, capsys):
+    # Finite data whose solution, derivatives, energy or cell fluxes leave
+    # the float range; the suite turns any leaked RuntimeWarning into an
+    # error.
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "overflows the float range" in err
+
+
+def test_overflowing_edge_product_solves_quietly(capsys):
+    code, out, err = run(capsys, "solve", "--alpha", "0.3", "--depth", "3",
+                         "--root-length", "1e308", "--kappa2", "1e308",
+                         "--data", "default=1")
+    assert code == 0 and err == ""
+    assert "energy 1e+154" in out
 
 
 def test_dn_refuses_boundary_past_ceiling(monkeypatch, capsys):
@@ -740,3 +828,28 @@ def test_graph_file_contract(seed, edits, command):
     if code == 2:
         assert err.startswith("error:") and out == ""
     assert second == first
+
+
+# Family flags of `dn`, extremes included.  Depths stay at 8 or less: one
+# depth-12 run alone takes seconds.
+MALFORMED_DN_FLAGS = (
+    "--alpha=0", "--alpha=1", "--alpha=nan", "--depth=0", "--kappa2=1,x",
+    "--kappa2=-1", "--kappa2=inf", "--root-length=0", "--root-length=inf",
+    "--weight-ratio=0.6", "--weight-ratio=nan",
+)
+
+
+@given(alpha=st.sampled_from(["1e-6", "0.3", "0.5", "0.999999"]) | ALPHAS,
+       depth=st.integers(1, 8),
+       kappa2=KAPPA2 | st.sampled_from(["1e300", "1e308", "0,1e308", "1e-300,0,4"]),
+       root_length=st.sampled_from(["1e-300", "1e-200", "0.7", "1", "1e200", "1e308"]),
+       weight_ratio=st.sampled_from(["1e-300", "1e-3", "0.25", "0.5"]),
+       malformed=st.none() | st.sampled_from(MALFORMED_DN_FLAGS))
+@settings(max_examples=60, deadline=None)
+def test_dn_contract(alpha, depth, kappa2, root_length, weight_ratio, malformed):
+    argv = ["dn", f"--alpha={alpha}", f"--depth={depth}", f"--kappa2={kappa2}",
+            f"--root-length={root_length}", f"--weight-ratio={weight_ratio}"]
+    if malformed is not None:
+        argv.append(malformed)
+    code = _check_tree_contract(argv, ("-o",))
+    assert code == 2 or (malformed is None and code == 0)

@@ -265,3 +265,12 @@ class TestPotentialWeights:
         below = float(edge_potential_weights(1.0, (SERIES_PRODUCT * 0.999) ** 2))
         above = float(edge_potential_weights(1.0, (SERIES_PRODUCT * 1.001) ** 2))
         assert math.isclose(above / below, (1.001 / 0.999) ** 2, rel_tol=1e-12)
+
+
+def test_overflowing_product_takes_the_flat_branch_quietly():
+    # kappa * length overflows to inf, the flat branch's own input; the
+    # suite turns the RuntimeWarning numpy would print into an error.
+    diag, off = edge_dn_blocks(1e308, 1e308)
+    assert (diag, off) == (1e154, 0.0) and math.copysign(1.0, off) == -1.0
+    assert edge_potential_weights(1e308, 1e308) == 1e154
+    assert edge_energies(1e308, 1e308, 1.0, 1.0) == 2e154

@@ -3,6 +3,8 @@ import io
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphdn.cli import main
 from graphdn.dirichlet import dn_matrix, solve_dirichlet
@@ -17,9 +19,9 @@ from graphdn.fileio import (
     write_plot_data,
     write_solution,
 )
-from graphdn.graph import build_graph
+from graphdn.graph import VertexMeta, build_graph
 from graphdn.measure import ClopenSet, SimpleBoundaryFunction, dn_function, measure_table
-from graphdn.trees import AlphaBetaSpec, generate_ab_tree
+from graphdn.trees import AlphaBetaSpec, address_index, generate_ab_tree
 
 from conftest import random_metric_graph
 
@@ -136,10 +138,16 @@ DEPTH3 = graph_to_string(generate_ab_tree(AlphaBetaSpec(alpha=0.5, depth=3)))
         ("edge 0 1 1.0 0.3333333333333333 0.0",
          "edge 0 1 1.0 0.3333333333333333 0.0 extra", "malformed graph record"),
         ("vertices 8", "vertices 8\nvertices 8", "two vertices records"),
+        ("meta 5 3 @ab", "meta 5 7 @ab", "vertex 5 has level 7 with address @ab"),
+        ("meta 6 3 @ba", "meta 6 3 -", "vertex 6 has level 3 with address -"),
+        ("meta 0 0 -", "meta 0 1 -", "vertex 0 has level 1 with address -"),
+        ("meta 6 3 @ba", "meta 6 0 -", "vertices 0 and 6 share the address -"),
+        ("meta 6 3 @ba", "meta 6 64 @" + "b" * 63, "vertex 6 has level 64 with address @b"),
     ],
     ids=[
         "address-without-at", "address-symbol", "second-boundary", "second-meta",
-        "shared-address", "edge-extra-field", "second-vertices",
+        "shared-address", "edge-extra-field", "second-vertices", "level-off-address",
+        "unaddressed-leaf", "root-level", "second-root", "address-past-column",
     ],
 )
 def test_malformed_graph_file_exits_2(old, new, fragment, tmp_path, capsys):
@@ -153,6 +161,28 @@ def test_malformed_graph_file_exits_2(old, new, fragment, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and fragment in err
     assert "Traceback" not in err
+
+
+# Addresses short and as long as the code column holds (62 symbols).
+ADDRESSES = st.text("ab", max_size=6) | st.text("ab", min_size=58, max_size=62)
+
+
+@given(n=st.integers(2, 9), root=st.booleans(),
+       addresses=st.lists(ADDRESSES, unique=True, max_size=8),
+       order=st.permutations(range(9)))
+@settings(max_examples=60, deadline=None)
+def test_tree_metadata_round_trip(n, root, addresses, order):
+    # A path graph whose vertices carry the root mark, an address or nothing.
+    records = [VertexMeta(0, None)] * root + [VertexMeta(len(a) + 1, a) for a in addresses]
+    meta = dict(zip((v for v in order if v < n), records))
+    g = build_graph([(v, v + 1, 1.0) for v in range(n - 1)], meta=meta or None)
+    assert g.meta == (tuple(meta.get(v) for v in range(n)) if meta else None)
+    if meta:
+        assert address_index(g) == {
+            m.address: v for v, m in meta.items() if m.address is not None
+        }
+    back = read_graph(io.StringIO(graph_to_string(g)))
+    assert back == g and back.meta == g.meta
 
 
 def test_solution_records():

@@ -1,5 +1,6 @@
 import math
 import numbers
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from graphdn.errors import DomainError, ValidationError
 from graphdn.graph import (
     Edge,
     GraphPoint,
+    VertexMeta,
     build_graph,
     geodesic_distance,
     graph_report,
@@ -71,6 +73,23 @@ class TestBuildGraph:
     def test_validation_errors(self, edges, fragment):
         with pytest.raises(ValidationError, match=fragment):
             build_graph(edges)
+
+    @pytest.mark.parametrize(
+        "meta,fragment",
+        [
+            ({1: VertexMeta(1, "ax")}, "invalid address symbol 'x' in 'ax'"),
+            ({1: VertexMeta(2, "")}, "vertex 1 has level 2 with address @"),
+            ({1: VertexMeta(1, None)}, "vertex 1 has level 1 with address -"),
+            ({0: VertexMeta(0), 1: VertexMeta(0)}, "vertices 0 and 1 share the address -"),
+            ({1: VertexMeta(64, "a" * 63)}, "vertex 1 has level 64 with address @a"),
+            ({2: VertexMeta(1, "")}, "metadata refers to unknown vertex 2"),
+        ],
+    )
+    def test_meta_errors(self, meta, fragment):
+        # A bad symbol is a DomainError, the rest ValidationErrors: both
+        # ValueErrors, which the command line reports with exit 2.
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            build_graph([(0, 1, 1.0)], meta=meta)
 
     def test_underflowing_block_still_connects(self):
         # kappa * l = 1000: the flux block's off entry underflows to 0, but
