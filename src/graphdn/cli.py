@@ -208,16 +208,18 @@ def _summarize_solution(g, sol, system) -> None:
     # through the same factorization.
     q = np.random.default_rng(0).standard_normal(len(sol.boundary_values))
     probe = solve_dirichlet(g, q, system=system)
-    reciprocity = abs(
-        sol.boundary_values @ probe.boundary_derivatives
-        - probe.boundary_values @ sol.boundary_derivatives
-    )
+    u, du = sol.boundary_values, sol.boundary_derivatives
+    dq = probe.boundary_derivatives
+    reciprocity = abs(u @ dq - q @ du)
+    reciprocity_scale = np.abs(u) @ np.abs(dq) + np.abs(q) @ np.abs(du)
     principle = max_principle_check(sol)
+    # Each identity residual is relative to the sum of the absolute values
+    # of its terms, so it reads the same whatever the scale of the data.
     print(f"energy {sol.energy:.12g}")
     print(f"kirchhoff-residual {worst:.6g}")
-    print(f"current-balance-residual {balance.residual:.6g}")
-    print(f"energy-identity-residual {identity.residual:.6g}")
-    print(f"dn-symmetry-residual {reciprocity:.6g}")
+    print(f"current-balance-residual {balance.residual / (balance.scale or 1.0):.6g}")
+    print(f"energy-identity-residual {identity.residual / (identity.scale or 1.0):.6g}")
+    print(f"dn-symmetry-residual {reciprocity / (reciprocity_scale or 1.0):.6g}")
     if principle.skipped_constant:
         print("max-principle skipped-constant-data")
     elif principle.passed:

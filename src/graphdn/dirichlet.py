@@ -196,10 +196,11 @@ class DirichletSolution:
 
     def continuity_residual(self) -> float:
         """Largest gap between edge-endpoint evaluations and vertex values."""
+        a, b, _, _ = self.graph.edge_table
         worst = 0.0
-        for e, s in zip(self.graph.edges, self.edge_solutions):
-            worst = max(worst, abs(s(0.0) - self.values[e.a]))
-            worst = max(worst, abs(s(s.length) - self.values[e.b]))
+        ends = zip(self.values[a].tolist(), self.values[b].tolist())
+        for s, (ua, ub) in zip(self.edge_solutions, ends):
+            worst = max(worst, abs(s(0.0) - ua), abs(s(s.length) - ub))
         return worst
 
     def kirchhoff_residuals(self) -> tuple[np.ndarray, np.ndarray]:
@@ -269,16 +270,16 @@ def solve_dirichlet(
     # Outward derivatives from the closed form, not matrix residuals.
     ends, outward = _outward(g, values)
     flux = np.bincount(ends, outward, minlength=g.n_vertices)
-    u, c1 = values.tolist(), (-outward[::2]).tolist()
-    solutions = tuple(
-        EdgeSolution(
-            length=e.length, kappa2=e.kappa2, value_a=u[e.a], value_b=u[e.b],
-            c0=u[e.a], c1=c,
-        )
-        for e, c in zip(g.edges, c1)
-    )
     a, b, lengths, kappa2 = g.edge_table
-    energy = edge_energies(lengths, kappa2, values[a], values[b]).sum()
+    va, vb = values[a], values[b]
+    solutions = tuple(
+        EdgeSolution(length=s, kappa2=k, value_a=x, value_b=y, c0=x, c1=c)
+        for s, k, x, y, c in zip(
+            lengths.tolist(), kappa2.tolist(), va.tolist(), vb.tolist(),
+            (-outward[::2]).tolist(),
+        )
+    )
+    energy = edge_energies(lengths, kappa2, va, vb).sum()
 
     bidx = np.asarray(sys_.boundary, dtype=np.intp)
     values.flags.writeable = False
@@ -352,6 +353,7 @@ class CurrentBalance:
     flux_sum: float
     potential_integral: float
     residual: float
+    scale: float  # the sum of the terms' absolute values, for a relative residual
 
 
 def current_balance(sol: DirichletSolution) -> CurrentBalance:
@@ -359,11 +361,14 @@ def current_balance(sol: DirichletSolution) -> CurrentBalance:
     flux = sol.flux_sum()
     a, b, lengths, kappa2 = sol.graph.edge_table
     weights = edge_potential_weights(lengths, kappa2)
-    integral = weights @ (sol.values[a] + sol.values[b])
+    ends = sol.values[a] + sol.values[b]
+    integral = weights @ ends
     return CurrentBalance(
         flux_sum=float(flux),
         potential_integral=float(integral),
         residual=float(flux - integral),
+        # The edge weights are nonnegative.
+        scale=float(np.abs(sol.boundary_derivatives).sum() + weights @ np.abs(ends)),
     )
 
 
@@ -374,6 +379,7 @@ class EnergyIdentity:
     form_value: float
     energy: float
     residual: float
+    scale: float  # the sum of the terms' absolute values, for a relative residual
 
 
 def energy_identity(sol: DirichletSolution) -> EnergyIdentity:
@@ -389,6 +395,9 @@ def energy_identity(sol: DirichletSolution) -> EnergyIdentity:
         form_value=form,
         energy=sol.energy,
         residual=float(form - sol.energy),
+        # The edge energies are nonnegative.
+        scale=float(np.abs(sol.boundary_values) @ np.abs(sol.boundary_derivatives))
+        + sol.energy,
     )
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .dirichlet import DirichletSolution, DNMatrix
 from .errors import ValidationError
-from .graph import Edge, MetricGraph, _graph_from_edges, address_code, address_of
+from .graph import MetricGraph, _graph_from_fields, address_code, address_of
 from .measure import ConvergenceReport, MeasureTable
 
 __all__ = [
@@ -97,7 +97,7 @@ def read_graph(source) -> MetricGraph:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != GRAPH_MAGIC:
         raise ValidationError(f"not a graph file (expected '{GRAPH_MAGIC}' header)")
-    edges: list[Edge] = []
+    edges: tuple[list, ...] = ([], [], [], [], [])  # a, b, length, weight, kappa2
     boundary: list[int] | None = None
     meta: dict[int, tuple[int, int]] = {}
     declared = None
@@ -114,15 +114,9 @@ def read_graph(source) -> MetricGraph:
                     raise ValidationError("graph file has two vertices records")
                 declared = int(fields[1])
             elif kind == "edge":
-                edges.append(
-                    Edge(
-                        int(fields[1]),
-                        int(fields[2]),
-                        float(fields[3]),
-                        float(fields[4]),
-                        float(fields[5]),
-                    )
-                )
+                row = (int(fields[1]), int(fields[2]), *map(float, fields[3:]))
+                for column, x in zip(edges, row):
+                    column.append(x)
             elif kind == "boundary":
                 if boundary is not None:
                     raise ValidationError("graph file has two boundary records")
@@ -142,7 +136,7 @@ def read_graph(source) -> MetricGraph:
             raise ValidationError(f"malformed graph record: {ln!r}") from exc
     if boundary is None:
         raise ValidationError("graph file has no boundary record")
-    g = _graph_from_edges(edges, boundary=boundary, records=meta or None)
+    g = _graph_from_fields(edges, boundary=boundary, records=meta or None)
     if declared is not None and declared != g.n_vertices:
         raise ValidationError(
             f"graph file declares {declared} vertices but edges span "

@@ -19,12 +19,12 @@ Tree metadata is one int64 column, ``MetricGraph.address_codes``, of
 A graph is its edge table: ``MetricGraph.edge_table`` holds the endpoints,
 lengths and potentials and ``MetricGraph.weights`` the weights, as read-only
 arrays in edge order.  Degrees, adjacency, the vertex adjacency matrix, the
-report, distances and the graph file all read them.  Every builder ends in
-one table check (:func:`build_graph` from :class:`Edge` descriptors, the
-tree generator and shortcut decoration from arrays); it finds bad fields,
-loops and parallel edges with array operations.  ``MetricGraph.edges``
-holds one :class:`Edge` per edge: the descriptors a graph was built from,
-or else made from the table on first read.
+report, distances, the solvers and the graph file all read them.  Every
+builder ends in one table check: :func:`build_graph` and the graph-file
+reader hand it five field lists, one entry per edge, and the tree generator
+and shortcut decoration hand it arrays.  It finds bad fields, loops and
+parallel edges with array operations.  ``MetricGraph.edges`` is a view:
+one :class:`Edge` per edge, made from the table on first read.
 
 scipy is imported inside the functions that use it (the table check, the
 vertex adjacency matrix, :func:`geodesic_distance` and :func:`graph_report`),
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -158,11 +158,7 @@ class MetricGraph:
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
-        """One :class:`Edge` per edge.
-
-        These are the descriptors the graph was built from, if any were
-        kept, else made from the table on first read.
-        """
+        """One :class:`Edge` per edge: a view made from the table on first read."""
         a, b, length, kappa2 = self.edge_table
         return tuple(
             map(
@@ -251,11 +247,11 @@ class GraphReport:
     boundary_count: int
 
 
-def _check_table(columns: tuple[np.ndarray, ...], edges: list[Edge] | None) -> None:
+def _check_table(columns: tuple[np.ndarray, ...], given: tuple | None) -> None:
     """Refuse the first edge with a bad field, its fields checked in order.
 
-    Messages show the field as given: from ``edges`` when the table was
-    made from them, else from the table.
+    Messages show the field as given: from the field lists ``given`` when
+    the table was made from them, else from the table.
     """
     a, b, length, weight, kappa2 = columns
     fine = (
@@ -269,7 +265,7 @@ def _check_table(columns: tuple[np.ndarray, ...], edges: list[Edge] | None) -> N
         return
     i = int(np.argmin(good))
     ea, eb, el, ew, ek = (
-        astuple(edges[i]) if edges is not None else (c[i].item() for c in columns)
+        (c[i] for c in given) if given is not None else (c[i].item() for c in columns)
     )
     messages = (
         f"endpoint ids must be nonnegative integers, got ({ea}, {eb})",
@@ -313,16 +309,15 @@ def _graph_from_table(
     columns: tuple[np.ndarray, ...],
     boundary: Iterable[int] | None = None,
     records: Mapping[int, tuple[int, int]] | None = None,
-    edges: list[Edge] | None = None,
+    given: tuple[list, ...] | None = None,
     codes: np.ndarray | None = None,
 ) -> MetricGraph:
     """Validate an edge table and assemble its :class:`MetricGraph`.
 
     ``columns`` are ``(a, b, length, weight, kappa2)`` in edge order, the
     endpoints as ``intp`` and the rest as floats; the graph owns them.  This
-    is every builder's one validation path.  ``edges``, when the table was
-    made from them, name bad fields as given and become ``MetricGraph.edges``
-    unless a loop or parallel edge was split.  Tree metadata comes as
+    is every builder's one validation path.  ``given``, the field lists the
+    table was made from, name bad fields as given.  Tree metadata comes as
     ``records`` ``{vertex: (level, code)}``, checked here, or as the
     ``codes`` of a generated or already checked graph.
     """
@@ -331,7 +326,7 @@ def _graph_from_table(
 
     if not len(columns[0]):
         raise ValidationError("graph must have at least one edge")
-    _check_table(columns, edges)
+    _check_table(columns, given)
     a, b = columns[:2]
     # Degrees of ids clipped at the endpoint count: an id past it leaves a
     # vertex below it without an edge, so no array is sized by a huge id.
@@ -346,8 +341,6 @@ def _graph_from_table(
             f"vertex {v} has no incident edge", element=("vertex", v)
         )
     columns, n = _split_conflicts(columns, len(deg))
-    if len(columns[0]) != len(a):
-        edges = None
     a, b = columns[:2]
 
     degree_one = set(np.flatnonzero(deg == 1).tolist())
@@ -405,28 +398,39 @@ def _graph_from_table(
     for column in columns:
         column.flags.writeable = False
     a, b, length, weight, kappa2 = columns
-    g = MetricGraph(
+    return MetricGraph(
         n_vertices=n,
         edge_table=(a, b, length, kappa2),
         weights=weight,
         boundary=bset,
         address_codes=codes,
     )
-    if edges is not None:
-        vars(g)["edges"] = tuple(edges)  # the cached property's value
-    return g
 
 
-def _int_ids(e: Edge) -> bool:
-    return isinstance(e.a, int) and isinstance(e.b, int)
+def _graph_from_fields(
+    fields: tuple[list, ...],
+    boundary: Iterable[int] | None = None,
+    records: Mapping[int, tuple[int, int]] | None = None,
+) -> MetricGraph:
+    """:func:`_graph_from_table` from five field lists, one entry per edge.
 
-
-def _int_endpoints(e: Edge) -> Edge:
-    # Numpy integer ids become Python ints, which files print alike; other
-    # ids stay as given, for the table check to refuse.
-    if isinstance(e.a, numbers.Integral) and isinstance(e.b, numbers.Integral):
-        return replace(e, a=int(e.a), b=int(e.b))
-    return e
+    ``fields`` are ``(a, b, length, weight, kappa2)`` as a graph file or
+    edge descriptors give them, and messages echo them.  A non-integer id
+    enters the table as -1; ids past ``intp`` clip to its largest value,
+    where they still leave a vertex without an edge, and negative ones to
+    -1.  All are refused.
+    """
+    ends = []
+    for ids in fields[:2]:
+        if not all(type(x) is int for x in ids):
+            ids = [int(x) if isinstance(x, numbers.Integral) else -1 for x in ids]
+        try:
+            ends.append(np.array(ids, dtype=np.intp))
+        except OverflowError:
+            top = np.iinfo(np.intp).max
+            ends.append(np.array([min(max(x, -1), top) for x in ids], dtype=np.intp))
+    floats = (np.array(c, dtype=float) for c in fields[2:])
+    return _graph_from_table((*ends, *floats), boundary, records, fields)
 
 
 def build_graph(
@@ -447,35 +451,18 @@ def build_graph(
     records = meta and {
         v: (m.level, address_code(m.address)) for v, m in meta.items() if m
     }
-    return _graph_from_edges(descriptors, boundary, records)
-
-
-def _graph_from_edges(
-    descriptors: Iterable,
-    boundary: Iterable[int] | None = None,
-    records: Mapping[int, tuple[int, int]] | None = None,
-) -> MetricGraph:
-    """:func:`build_graph` with metadata records ``{vertex: (level, code)}``."""
-    edges = [item if isinstance(item, Edge) else Edge(*item) for item in descriptors]
-    edges = [e if _int_ids(e) else _int_endpoints(e) for e in edges]
-    # An edge with a non-integer id enters the table with ids -1.
-    ends = [(e.a, e.b) if _int_ids(e) else (-1, -1) for e in edges]
-    try:
-        ends = np.array(ends, dtype=np.intp)
-    except OverflowError:
-        # Ids past intp clip to its largest value, where they still leave a
-        # vertex without an edge; negative ones clip to -1, still refused.
-        top = np.iinfo(np.intp).max
-        ends = np.array(
-            [[min(max(x, -1), top) for x in pair] for pair in ends], dtype=np.intp
-        )
-    columns = (
-        *ends.reshape(-1, 2).T.copy(),
-        np.array([e.length for e in edges], dtype=float),
-        np.array([e.weight for e in edges], dtype=float),
-        np.array([e.kappa2 for e in edges], dtype=float),
-    )
-    return _graph_from_table(columns, boundary, records, edges)
+    rows = []
+    for item in descriptors:
+        e = item if isinstance(item, Edge) else Edge(*item)
+        a, b = e.a, e.b
+        # A pair of integer ids that are not both Python ints (numpy ints,
+        # say) is shown as Python ints; any other pair as given.
+        integral = isinstance(a, numbers.Integral) and isinstance(b, numbers.Integral)
+        if integral and not (isinstance(a, int) and isinstance(b, int)):
+            a, b = int(a), int(b)
+        rows.append((a, b, e.length, e.weight, e.kappa2))
+    fields = tuple(map(list, zip(*rows))) or ([],) * 5
+    return _graph_from_fields(fields, boundary, records)
 
 
 def _as_point(g: MetricGraph, p) -> GraphPoint:

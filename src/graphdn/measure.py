@@ -220,8 +220,15 @@ class ClopenSet:
         ``cells`` are the fluxes through the depth-``M`` cells in address
         order, ``M >= cell_depth`` (a row of :func:`graphdn.trees.cell_fluxes`,
         or a level solution's ``leaf_flux``), and ``root`` the root flux.
+        Refuses any other number of cells.
         """
-        depth = len(cells).bit_length()
+        n = len(cells)
+        if n & (n - 1) or n < 1 << self.cell_depth:
+            raise DomainError(
+                f"{n} cell fluxes are not the 2**M cells of a depth M >= "
+                f"{self.cell_depth}, the set's cell depth"
+            )
+        depth = n.bit_length()
         total = root if self.include_root else 0.0
         for p in self.prefixes:
             total += cells[cylinder_slice(p, depth)].sum()

@@ -39,15 +39,16 @@ def _lattice(g: MetricGraph, step: float):
     neighbours: list[list[int]] = [[] for _ in range(g.n_vertices)]
     next_id = g.n_vertices
     edge_nodes: list[tuple[int, ...]] = []
-    for i, e in enumerate(g.edges):
-        ratio = e.length / step
+    a, b, lengths, _ = g.edge_table
+    for i, (x, y, length) in enumerate(zip(a.tolist(), b.tolist(), lengths.tolist())):
+        ratio = length / step
         k = int(round(ratio))
         if k < 1 or abs(ratio - k) > _COMMENSURATE_TOL * max(1.0, ratio):
             raise DomainError(
                 f"step {step} does not evenly divide edge {i} "
-                f"of length {e.length}"
+                f"of length {length}"
             )
-        chain = [e.a] + list(range(next_id, next_id + k - 1)) + [e.b]
+        chain = [x] + list(range(next_id, next_id + k - 1)) + [y]
         next_id += k - 1
         neighbours.extend([] for _ in range(k - 1))
         for u, v in zip(chain, chain[1:]):
@@ -65,7 +66,7 @@ def _lattice(g: MetricGraph, step: float):
 
 def _start_node(g, step, edge_nodes, start) -> int:
     if isinstance(start, GraphPoint):
-        if not (0 <= start.edge < len(g.edges)):
+        if not (0 <= start.edge < g.n_edges):
             raise DomainError(f"edge index {start.edge} out of range")
         chain = edge_nodes[start.edge]
         j = int(round(start.offset / step))

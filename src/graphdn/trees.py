@@ -27,9 +27,6 @@ from .edge import edge_dn_blocks, edge_potential_weights
 from .errors import DomainError, ValidationError
 from .graph import MetricGraph, _graph_from_table, address_code, address_of
 
-# build_graph stays a module attribute: perfbench's trace probes wrap it here.
-from .graph import build_graph  # noqa: F401
-
 __all__ = [
     "AlphaBetaSpec",
     "MAX_GRAPH_EDGES",

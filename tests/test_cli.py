@@ -93,6 +93,55 @@ def test_generate_builds_no_edge_objects(tmp_path, monkeypatch, capsys):
     assert "shortcuts 2" in out
 
 
+def test_solve_graph_file_builds_no_edge_objects(tmp_path, monkeypatch, capsys):
+    # The graph file parses into the edge table, and the solve, its summary
+    # and the solution file read the table.
+    path = tmp_path / "g.txt"
+    code, _, err = run(
+        capsys, "generate", "--alpha", "0.3", "--depth", "6", "--kappa2", "4,1",
+        "--shortcut", "@a,@bb,0.5", "--shortcut", "1,2,0.25", "-o", str(path),
+    )
+    assert code == 0, err
+    monkeypatch.setattr(MetricGraph, "edges", property(_no_edge_objects))
+    monkeypatch.setattr(Edge, "__init__", _no_edge_objects)
+    solution = tmp_path / "s.txt"
+    code, out, err = run(
+        capsys, "solve", "--graph", str(path), "--data", "v0=1.3,default=-0.4",
+        "--solution-out", str(solution),
+    )
+    assert code == 0, err
+    assert "max-principle pass" in out
+    assert solution.read_text().startswith("graphdn-solution 1")
+
+
+def _residual_lines(out: str) -> dict[str, float]:
+    names = ("current-balance-residual", "energy-identity-residual",
+             "dn-symmetry-residual")
+    pairs = (line.split() for line in out.splitlines())
+    return {name: float(value) for name, value in pairs if name in names}
+
+
+@pytest.mark.parametrize("kappa2", ["0", "4"])
+def test_solve_residuals_are_relative(kappa2, capsys):
+    # Scaling the data scales every term of an identity alike, so a residual
+    # relative to its terms stays at rounding level.  Absolute residuals
+    # read up to 1e285 at data 1e150, and down to 1e-315 at data 1e-150,
+    # where even a wrong solve would look exact.
+    lines = []
+    for scale in ("1", "1e150", "1e-150"):
+        code, out, err = run(
+            capsys, "solve", "--alpha", "0.3", "--depth", "4", "--kappa2", kappa2,
+            "--data", f"0={scale},default=-{scale}",
+        )
+        assert code == 0, err
+        lines.append(_residual_lines(out))
+    eps = np.finfo(float).eps
+    for name in lines[0]:
+        values = [found[name] for found in lines]
+        assert max(map(abs, values)) <= 16 * eps, (name, values)
+        assert max(values) - min(values) <= 16 * eps, (name, values)
+
+
 def _no_vertex_meta(*args, **kwargs):
     raise AssertionError("a VertexMeta was built")
 

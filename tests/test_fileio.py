@@ -1,6 +1,7 @@
 import hashlib
 import io
 import re
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from graphdn.fileio import (
     write_plot_data,
     write_solution,
 )
-from graphdn.graph import VertexMeta, build_graph
+from graphdn.graph import Edge, VertexMeta, build_graph
 from graphdn.measure import ClopenSet, SimpleBoundaryFunction, dn_function, measure_table
 from graphdn.trees import AlphaBetaSpec, address_index, generate_ab_tree
 
@@ -143,11 +144,15 @@ DEPTH3 = graph_to_string(generate_ab_tree(AlphaBetaSpec(alpha=0.5, depth=3)))
         ("meta 0 0 -", "meta 0 1 -", "vertex 0 has level 1 with address -"),
         ("meta 6 3 @ba", "meta 6 0 -", "vertices 0 and 6 share the address -"),
         ("meta 6 3 @ba", "meta 6 64 @" + "b" * 63, "vertex 6 has level 64 with address @b"),
+        ("edge 0 1 1.0", "edge -100000000000000000000000000000 1 1.0",
+         "edge 0: endpoint ids must be nonnegative integers, "
+         "got (-100000000000000000000000000000, 1)"),
     ],
     ids=[
         "address-without-at", "address-symbol", "second-boundary", "second-meta",
         "shared-address", "edge-extra-field", "second-vertices", "level-off-address",
         "unaddressed-leaf", "root-level", "second-root", "address-past-column",
+        "huge-negative-id",
     ],
 )
 def test_malformed_graph_file_exits_2(old, new, fragment, tmp_path, capsys):
@@ -235,6 +240,29 @@ def test_measure_table_records():
     assert lines[6] == "cell value residual converged"
     cells = [ln.split()[0] for ln in lines[7:]]
     assert cells == ["@a", "@b", "v0"]
+
+
+def test_build_graph_fields_as_given():
+    # Numpy integer ids, int-valued fields and 3-, 4- and 5-field tuples:
+    # the view holds Python ints and floats, equal to the fields given, and
+    # the file prints them as ints and float reprs.
+    g = build_graph([
+        (np.int64(0), np.int32(1), 2),
+        Edge(np.uint8(1), np.int16(2), 3, 2),
+        (2, 3, 0.5, 1, 4),
+    ])
+    assert g.edges == (
+        Edge(0, 1, 2, 1, 0), Edge(1, 2, 3, 2, 0), Edge(2, 3, 0.5, 1, 4)
+    )
+    assert [type(x) for x in astuple(g.edges[1])] == [int, int, float, float, float]
+    assert graph_to_string(g) == (
+        "graphdn-graph 1\n"
+        "vertices 4\n"
+        "edge 0 1 2.0 1.0 0.0\n"
+        "edge 1 2 3.0 2.0 0.0\n"
+        "edge 2 3 0.5 1.0 4.0\n"
+        "boundary 0 3\n"
+    )
 
 
 @pytest.mark.parametrize("big", [10**15, 10**20])

@@ -95,6 +95,25 @@ class TestClopenSet:
         assert whole.resolve(g) == g.boundary_vertices
         assert ClopenSet.root_vertex(FAM5).resolve(g) == (0,)
 
+    def test_flux_sums_cells(self):
+        cells = np.array([1.0, 2.0, 4.0, 8.0])  # the depth-2 cells aa .. bb
+        assert ClopenSet.cylinder(FAM3, "b").flux(cells, 16.0) == 12.0
+        assert ClopenSet.cylinder(FAM3, "ab").flux(cells, 16.0) == 2.0
+        assert ClopenSet.whole_boundary(FAM3).flux(cells, 16.0) == 31.0
+        assert ClopenSet.root_vertex(FAM3).flux(cells[:1], 16.0) == 16.0
+
+    @pytest.mark.parametrize("n", [0, 3, 5, 6])
+    @pytest.mark.parametrize("prefixes", [("b",), ("",), ()])
+    def test_flux_refuses_cells_not_of_one_depth(self, n, prefixes):
+        s = ClopenSet(FAM3, prefixes, include_root=True)
+        message = rf"^{n} cell fluxes .* depth M >= {s.cell_depth}, the set's"
+        with pytest.raises(DomainError, match=message):
+            s.flux(np.arange(1.0, n + 1.0), 5.0)
+
+    def test_flux_refuses_cells_above_the_set(self):
+        with pytest.raises(DomainError, match="^2 cell fluxes .* depth M >= 2"):
+            ClopenSet.cylinder(FAM3, "ab").flux(np.ones(2), 0.0)
+
 
 class TestSimpleBoundaryFunction:
     def test_overlap_rejected(self):
