@@ -75,8 +75,9 @@ def _parse_function(family: AlphaBetaSpec, spec: str) -> SimpleBoundaryFunction:
     token = ""
     for ch in text + "+":
         if ch in "+-":
-            # keep exponent signs inside numeric coefficients like 1e-3
-            if token and token[-1] in "eE" and token[0].isdigit():
+            # Keep exponent signs inside coefficients like 1e-3 or .5E+1: no
+            # set ends in e, and float() judges the coefficient.
+            if token[-1:] in ("e", "E") and "*" not in token:
                 token += ch
                 continue
             if token:

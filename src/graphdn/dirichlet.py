@@ -62,9 +62,9 @@ def _edge_blocks(g: MetricGraph):
     return a, b, diag, off
 
 
-def _outward(g: MetricGraph, values: np.ndarray):
-    """Endpoint ids and outward edge derivatives, interleaved per edge (a, b)."""
-    a, b, diag, off = _edge_blocks(g)
+def _outward(blocks, values: np.ndarray):
+    """Endpoint ids and outward derivatives of edge ``blocks``, interleaved (a, b)."""
+    a, b, diag, off = blocks
     va, vb = values[a], values[b]
     ends = np.stack([a, b], axis=1).ravel()
     return ends, np.stack([diag * va + off * vb, off * va + diag * vb], axis=1).ravel()
@@ -206,13 +206,15 @@ class DirichletSolution:
     def kirchhoff_residuals(self) -> tuple[np.ndarray, np.ndarray]:
         """Per interior vertex: |sum of outward edge derivatives| and scale.
 
-        The scale is the sum of the absolute single-edge contributions, the
-        natural yardstick for the cancellation the condition demands.
+        The scale sums the absolute terms ``|diag*u_a| + |off*u_b|`` of each
+        derivative, not its already cancelled value.
         """
         g = self.graph
-        ends, outward = _outward(g, self.values)
+        a, b, diag, off = blocks = _edge_blocks(g)
+        ends, outward = _outward(blocks, self.values)
+        _, terms = _outward((a, b, np.abs(diag), np.abs(off)), np.abs(self.values))
         sums = np.bincount(ends, outward, minlength=g.n_vertices)
-        scales = np.bincount(ends, np.abs(outward), minlength=g.n_vertices)
+        scales = np.bincount(ends, terms, minlength=g.n_vertices)
         idx = np.asarray(g.interior_vertices, dtype=np.intp)
         return np.abs(sums[idx]), scales[idx]
 
@@ -268,7 +270,7 @@ def solve_dirichlet(
         values[np.asarray(sys_.interior, dtype=np.intp)] = ui
 
     # Outward derivatives from the closed form, not matrix residuals.
-    ends, outward = _outward(g, values)
+    ends, outward = _outward(_edge_blocks(g), values)
     flux = np.bincount(ends, outward, minlength=g.n_vertices)
     a, b, lengths, kappa2 = g.edge_table
     va, vb = values[a], values[b]

@@ -14,14 +14,15 @@ raised.  Every truncation depth of one call is solved at once by
 fine enough for F and E from that cell's top edge; no truncation is built
 as a metric graph and no leaf is visited.
 
-Set algebra runs on the cells of depth d, the deepest prefix involved.  A
-set's prefixes are sorted, merged cell-index intervals ``[lo, hi)``, each
-prefix one :func:`graphdn.trees.cylinder_slice`; its canonical prefixes
-are the maximal aligned dyadic blocks of those intervals, its complement
-their gaps.  Normalizing, complementing and testing disjointness cost
-O(P log P + P*d) for P prefixes.  :func:`combine` adds its pairs' terms
-into the 2^d cells and groups the cells by value with one stable sort,
-O(2^d log 2^d); no address string is made per cell.
+A set is its spans: the sorted, merged ``[lo, hi)`` index intervals of its
+cells of depth d, the coarsest that holds every bound, built once from the
+given prefixes (each one :func:`graphdn.trees.cylinder_slice`,
+O(P log P + P*d) for P of them) or from cells.  Every read works on them:
+the canonical prefixes are their maximal aligned dyadic blocks, the
+complement their gaps, disjointness one sweep, and a cell lies in, outside
+or across a set by one bisection.  :func:`combine` adds its pairs' terms
+into the 2^d cells and groups them by value with one stable sort,
+O(2^d log 2^d); no address string is parsed.
 
 Finite truncations satisfy the structural identities exactly up to solver
 error: the functional is symmetric in (F-set, E), additive over partitions
@@ -31,7 +32,8 @@ of E, and its diagonal quadratic form is the solution energy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from itertools import chain, combinations, groupby
 from typing import Iterable, Sequence
 
@@ -45,7 +47,6 @@ from .trees import (
     _address_codes,
     _check_cell_depth,
     cell_fluxes,
-    cylinder_leaves,
     cylinder_slice,
 )
 
@@ -65,16 +66,6 @@ __all__ = [
 # Convergence is declared once this many trailing first differences sit
 # below the tolerance.  Tunable in one place.
 CONSECUTIVE_BELOW_TOL = 3
-
-
-def _addresses(depth: int) -> list[str]:
-    """All addresses of this length, in address order.
-
-    Refuses, before enumerating them, cells that no truncation within
-    ``MAX_SWEEP_EDGES`` resolves.
-    """
-    _check_cell_depth(depth)
-    return list(map(address_of, range(1 << depth, 2 << depth)))
 
 
 def _intervals(prefixes: Iterable[str], depth: int) -> list[list[int]]:
@@ -104,12 +95,13 @@ def _prefixes(intervals: Iterable[Sequence[int]], depth: int) -> tuple[str, ...]
 
 
 def _overlap(sets: Sequence["ClopenSet"]) -> bool:
-    """Whether two of these sets meet, by one sweep over their intervals."""
+    """Whether two of these sets meet, by one sweep over their spans."""
     if sum(s.include_root for s in sets) > 1:
         return True
     depth = max(s.cell_depth for s in sets)
-    # A set's own intervals never meet, so only neighbours in order can.
-    spans = sorted(span for s in sets for span in _intervals(s.prefixes, depth))
+    # A set's own spans never meet, so only neighbours in order can.
+    spans = sorted((lo << k, hi << k) for s in sets for k in [depth - s.cell_depth]
+                   for lo, hi in s.spans)
     return any(lo < end for (_, end), (lo, _) in zip(spans, spans[1:]))
 
 
@@ -117,20 +109,32 @@ def _overlap(sets: Sequence["ClopenSet"]) -> bool:
 class ClopenSet:
     """A clopen subset of the ideal boundary of one tree family.
 
-    Held as a canonical antichain of address prefixes (sibling pairs merged,
-    nested prefixes dropped) plus a flag for the isolated root boundary
-    vertex.  Equality and hashing use the canonical form and the family
-    identity, ignoring truncation depth.
+    Held as ``spans``, the merged ``[lo, hi)`` intervals of its cells of the
+    coarsest depth ``cell_depth``, plus a flag for the isolated root boundary
+    vertex; ``prefixes`` is the canonical antichain made from them.  Equality
+    and hashing use the cells and the family identity, not truncation depth.
     """
 
     family: AlphaBetaSpec
     prefixes: tuple[str, ...]
     include_root: bool = False
+    cell_depth: int = field(init=False)
+    spans: tuple[tuple[int, int], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         given = tuple(self.prefixes)
         depth = max(map(len, given), default=0)
-        object.__setattr__(self, "prefixes", _prefixes(_intervals(given, depth), depth))
+        self._hold(_intervals(given, depth), depth)
+
+    def _hold(self, spans: Sequence[Sequence[int]], depth: int) -> None:
+        """Keep sorted, merged depth-``depth`` spans at the coarsest depth."""
+        # 2**shift, the largest power of two dividing every bound, is how many
+        # of these cells make one of the coarsest.
+        shift = math.gcd(1 << depth, *chain.from_iterable(spans)).bit_length() - 1
+        spans = tuple((lo >> shift, hi >> shift) for lo, hi in spans)
+        object.__setattr__(self, "cell_depth", depth - shift)
+        object.__setattr__(self, "spans", spans)
+        object.__setattr__(self, "prefixes", _prefixes(spans, depth - shift))
 
     @classmethod
     def cylinder(
@@ -152,7 +156,8 @@ class ClopenSet:
         return cls(family, (), include_root=True)
 
     def _key(self) -> tuple:
-        return (self.family.family_key(), self.prefixes, self.include_root)
+        return (self.family.family_key(), self.cell_depth, self.spans,
+                self.include_root)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ClopenSet):
@@ -164,13 +169,12 @@ class ClopenSet:
 
     @property
     def is_empty(self) -> bool:
-        return not self.prefixes and not self.include_root
+        return not self.spans and not self.include_root
 
     def complement(self) -> "ClopenSet":
-        depth = self.cell_depth
-        bounds = [0, *chain.from_iterable(_intervals(self.prefixes, depth)), 2**depth]
-        gaps = zip(bounds[::2], bounds[1::2])
-        return ClopenSet(self.family, _prefixes(gaps, depth), not self.include_root)
+        bounds = [0, *chain.from_iterable(self.spans), 2**self.cell_depth]
+        gaps = [(lo, hi) for lo, hi in zip(bounds[::2], bounds[1::2]) if lo < hi]
+        return _of_cells(self.family, gaps, self.cell_depth, not self.include_root)
 
     def disjoint_from(self, other: "ClopenSet") -> bool:
         return not _overlap((self, other))
@@ -181,38 +185,38 @@ class ClopenSet:
         Raises when a set prefix strictly extends the address, i.e. the cell
         straddles the set and a deeper truncation is required.
         """
-        for p in self.prefixes:
-            if address.startswith(p):
-                return True
-            if p.startswith(address) and p != address:
-                raise DomainError(
-                    f"cell {address!r} straddles prefix {p!r}; "
-                    "refine the truncation"
-                )
+        depth = max(len(address), self.cell_depth)
+        cell, shift = cylinder_slice(address, depth + 1), depth - self.cell_depth
+        # The first span that ends after the cell starts, at the cell's depth.
+        i = bisect_right(self.spans, cell.start >> shift, key=lambda span: span[1])
+        lo, hi = (b << shift for b in self.spans[i]) if i < len(self.spans) else (0, 0)
+        if lo <= cell.start and cell.stop <= hi:
+            return True
+        if cell.start < hi and lo < cell.stop:
+            inside = _prefixes([(max(lo, cell.start), min(hi, cell.stop))], depth)
+            raise DomainError(
+                f"cell {address!r} straddles prefix {inside[0]!r}; "
+                "refine the truncation"
+            )
         return False
-
-    @property
-    def cell_depth(self) -> int:
-        """Length of the longest prefix: the set is a union of such cells."""
-        return max((len(p) for p in self.prefixes), default=0)
 
     @property
     def min_truncation_depth(self) -> int:
         return max(2, self.cell_depth + 1)
 
     def resolve(self, graph) -> tuple[int, ...]:
-        """Boundary vertices of a truncation graph carrying this set's cells.
+        """Boundary vertices of a truncation graph whose cells lie in the set.
 
-        The ascending union of :func:`cylinder_leaves` over the prefixes,
-        plus the root boundary vertex when ``include_root`` is set.
+        The root boundary vertex is one when ``include_root`` is set; a cell
+        that straddles the set is refused, as :meth:`contains_cell` does.
         """
-        _address_codes(graph)  # refuses a graph without metadata
-        verts = set()
-        for p in self.prefixes:
-            verts.update(cylinder_leaves(graph, p))
-        if self.include_root:
-            verts.add(cylinder_leaves(graph, "", include_root_vertex=True)[0])
-        return tuple(sorted(verts))
+        ends = graph.boundary_vertices
+        codes = _address_codes(graph)[list(ends)].tolist()
+        if self.include_root and 0 not in codes:
+            raise DomainError("graph has no root boundary vertex")
+        return tuple(v for v, c in zip(ends, codes)
+                     if (self.include_root if c == 0 else
+                         c > 0 and self.contains_cell(address_of(c))))
 
     def flux(self, cells: np.ndarray, root: float) -> float:
         """Outward flux of one truncation through the set.
@@ -230,6 +234,7 @@ class ClopenSet:
             )
         depth = n.bit_length()
         total = root if self.include_root else 0.0
+        # One sum per canonical block: a sum per span would round differently.
         for p in self.prefixes:
             total += cells[cylinder_slice(p, depth)].sum()
         return float(total)
@@ -239,6 +244,15 @@ class ClopenSet:
         if self.include_root:
             parts.append("v0")
         return "+".join(parts) if parts else "empty"
+
+
+def _of_cells(family, spans, depth: int, include_root: bool = False) -> ClopenSet:
+    """The set of sorted, merged depth-``depth`` spans; no prefix is parsed."""
+    s = object.__new__(ClopenSet)
+    object.__setattr__(s, "family", family)
+    object.__setattr__(s, "include_root", include_root)
+    s._hold(spans, depth)
+    return s
 
 
 def _check_coefficient(c: float, where: str) -> None:
@@ -292,18 +306,18 @@ class SimpleBoundaryFunction:
 
     @property
     def cell_depth(self) -> int:
-        """Length of the longest prefix: F is constant on cells this deep."""
-        return max((len(p) for _, s in self.terms for p in s.prefixes), default=0)
+        """The deepest term's cell depth: F is constant on cells this deep."""
+        return max(s.cell_depth for _, s in self.terms)
 
     def value_at_cell(self, address: str) -> float:
-        return sum(c for c, s in self.terms if s.contains_cell(address))
+        return sum((c for c, s in self.terms if s.contains_cell(address)), 0.0)
 
     def cell_values(self) -> np.ndarray:
         """F on each of its depth-``cell_depth`` cells, in address order."""
         return _cell_sums(self.terms, self.cell_depth)
 
     def root_value(self) -> float:
-        return sum(c for c, s in self.terms if s.include_root)
+        return sum((c for c, s in self.terms if s.include_root), 0.0)
 
     def boundary_data(self, graph) -> dict[int, float]:
         """Dirichlet data on a truncation: each cell's value of F."""
@@ -323,8 +337,9 @@ def _cell_sums(terms, depth: int) -> np.ndarray:
     _check_cell_depth(depth)
     total = np.zeros(2**depth)
     for c, s in terms:
-        for p in s.prefixes:
-            total[cylinder_slice(p, depth + 1)] += c
+        shift = depth - s.cell_depth
+        for lo, hi in s.spans:
+            total[lo << shift:hi << shift] += c
     return total
 
 
@@ -354,9 +369,9 @@ def combine(
     for value, group in groupby(runs, lambda run: run[0]):
         if value == 0.0:
             continue
-        prefixes = _prefixes((run for _, run in group), depth)
         with_root = value == root and root != 0.0
-        terms.append((value, ClopenSet(family, prefixes, include_root=with_root)))
+        cells = _of_cells(family, [run for _, run in group], depth, with_root)
+        terms.append((value, cells))
         if with_root:
             root = 0.0
     if root != 0.0:
@@ -532,7 +547,8 @@ def measure_table(
         max(f.min_truncation_depth, partition_depth + 1), n_min, n_max
     )
     family = f.family
-    cells = [ClopenSet.cylinder(family, a) for a in _addresses(partition_depth)]
+    cells = [_of_cells(family, [(k, k + 1)], partition_depth)
+             for k in range(2**partition_depth)]
     cells.append(ClopenSet.root_vertex(family))
 
     rows, roots = _cell_fluxes(f, depths, partition_depth)

@@ -142,6 +142,34 @@ def test_solve_residuals_are_relative(kappa2, capsys):
         assert max(values) - min(values) <= 16 * eps, (name, values)
 
 
+def test_kirchhoff_residual_scaled_by_its_terms(tmp_path, capsys):
+    # Deep vertices, where u is nearly constant and edges are about 1e-4
+    # long, sum derivatives that are themselves cancelled differences;
+    # scaled by those differences this correct solve read 1.86e-9.
+    path = tmp_path / "g.txt"
+    code, _, err = run(
+        capsys, "generate", "--alpha", "0.3", "--depth", "12", "--kappa2", "4,2,1,0.5",
+        "--shortcut", "@ab,@bba,0.5", "--shortcut", "@b,@aab,0.25",
+        "--shortcut", "7,100,0.125", "-o", str(path),
+    )
+    assert code == 0, err
+    code, out, err = run(capsys, "solve", "--graph", str(path),
+                         "--data", "v0=1.3,default=-0.4")
+    assert code == 0, err
+    (line,) = [line for line in out.splitlines() if line.startswith("kirchhoff-residual ")]
+    assert float(line.split()[1]) <= 1e-14
+
+
+@pytest.mark.parametrize("spec, plain", [
+    (".5e-3*cyl:a", "0.0005*cyl:a"),
+    ("+.5E+1*v0-cyl:b", "5*v0-cyl:b"),
+])
+def test_float_coefficients_parse(spec, plain, capsys):
+    # Any mantissa float() takes keeps its exponent sign, as 1e-3 does.
+    argv = ["converge", "--alpha", "0.3", "--E", "cyl:a", "--max-depth", "8"]
+    assert run(capsys, *argv, f"--F={spec}") == run(capsys, *argv, f"--F={plain}")
+
+
 def _no_vertex_meta(*args, **kwargs):
     raise AssertionError("a VertexMeta was built")
 
@@ -629,7 +657,8 @@ KAPPA2 = st.sampled_from(["", "4,1", "0,0,2.5e5"])
 TOLS = st.sampled_from(["1e-1", "1e-2", "1e-3", "1e-6", "1e-12"])
 SETS = st.text("ab", max_size=3).map("cyl:".__add__) | st.sampled_from(["v0", "all", "cantor"])
 FUNCTIONS = st.lists(
-    st.tuples(st.sampled_from(["", "2*", "-0.5*", "1e-3*"]), SETS), min_size=1, max_size=3,
+    st.tuples(st.sampled_from(["", "2*", "-0.5*", "1e-3*", ".5e-3*", "+.5E+1*"]), SETS),
+    min_size=1, max_size=3,
 ).map(lambda terms: "+".join(coef + term for coef, term in terms))
 MAX_DEPTHS = st.integers(1, 12)
 # At most one malformed flag per run, placed last, where argparse lets it

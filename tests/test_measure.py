@@ -1,15 +1,17 @@
 import itertools
 import math
+import re
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphdn import measure
 from graphdn.dirichlet import current_balance, solve_dirichlet
 from graphdn.errors import DomainError, ValidationError
+from graphdn.graph import address_of
 from graphdn.measure import (
     ClopenSet,
     SimpleBoundaryFunction,
@@ -283,10 +285,10 @@ class TestMeasureTable:
     def test_depths_checked_before_cells_are_built(self, monkeypatch):
         # A partition too deep for n_max is refused before its 2**16 cells
         # are enumerated.
-        def refuse(depth):
+        def refuse(family, spans, depth, include_root=False):
             raise AssertionError(f"depth-{depth} cells enumerated")
 
-        monkeypatch.setattr(measure, "_addresses", refuse)
+        monkeypatch.setattr(measure, "_of_cells", refuse)
         with pytest.raises(DomainError, match="below the starting depth 17"):
             measure_table(indicator(FAM3, "a"), partition_depth=16, tol=1e-6, n_max=12)
         with pytest.raises(DomainError, match="n_min 4 too shallow"):
@@ -460,6 +462,29 @@ def ref_combine(pairs):
     return terms, (values, whole_root)
 
 
+# Truncations of depths 1 .. REF_DEPTH + 1: their leaves head the cells of
+# depths 0 .. REF_DEPTH.
+REF_TREES = {
+    n: generate_ab_tree(AlphaBetaSpec(alpha=0.3, depth=n)) for n in range(1, REF_DEPTH + 2)
+}
+
+
+def ref_leaves(depth):
+    """The depth's boundary vertices with their addresses, None for the root."""
+    g = REF_TREES[depth]
+    codes = g.address_codes[list(g.boundary_vertices)].tolist()
+    return [(v, address_of(c)) for v, c in zip(g.boundary_vertices, codes)]
+
+
+def ref_holds(cells, address):
+    """Whether the address's cell lies in the cells; a straddle's message."""
+    cell = REF_CYLINDER[address]
+    if cell <= cells or not cell & cells:
+        return cell <= cells
+    first = next(q for q in ref_canonical(cells) if q.startswith(address))
+    return f"cell {address!r} straddles prefix {first!r}; refine the truncation"
+
+
 def ref_indicator(cells, root):
     return [1.0 if k in cells else 0.0 for k in range(len(REF_ALL))], 1.0 if root else 0
 
@@ -541,6 +566,70 @@ class TestAgainstBruteForce:
         g = combine([(b, f), (c, extra)])
         expected, _ = ref_combine([(b, ref_f), (c, ref_indicator(ref_cells(p), root))])
         assert as_reprs(terms_of(g)) == as_reprs(expected)
+
+
+    @given(first=REF_SETS, depth=st.integers(1, REF_DEPTH + 1))
+    @example(first=(["ab"], False), depth=2)  # the leaf @a straddles @ab
+    @settings(max_examples=150, deadline=None)
+    def test_graph_readers(self, first, depth):
+        p, root = first
+        s, cells = ClopenSet(FAM3, p, root), ref_cells(p)
+        inside, straddles = [], []
+        for v, address in ref_leaves(depth):
+            held = root if address is None else ref_holds(cells, address)
+            if isinstance(held, str):
+                straddles.append(held)
+                with pytest.raises(DomainError, match=f"^{re.escape(held)}$"):
+                    s.contains_cell(address)
+                continue
+            if address is not None:
+                assert s.contains_cell(address) is held
+            if held:
+                inside.append(v)
+        if straddles:
+            with pytest.raises(DomainError, match=f"^{re.escape(straddles[0])}$"):
+                s.resolve(REF_TREES[depth])
+        else:
+            assert s.resolve(REF_TREES[depth]) == tuple(inside)
+
+    @given(terms=st.lists(st.tuples(COEFFICIENTS, REF_SETS), min_size=1, max_size=4),
+           depth=st.integers(1, REF_DEPTH + 1))
+    @settings(max_examples=150, deadline=None)
+    def test_function_readers(self, terms, depth):
+        # Each term keeps only the cells no earlier term holds, so the terms
+        # are disjoint; each is given cell by cell.
+        taken, taken_root, built = frozenset(), False, []
+        for c, (p, root) in terms:
+            cells, root = ref_cells(p) - taken, root and not taken_root
+            taken, taken_root = taken | cells, taken_root or root
+            built.append((c, cells, root))
+        f = SimpleBoundaryFunction(tuple(
+            (c, ClopenSet(FAM3, [REF_ADDRESSES[k] for k in cells], root))
+            for c, cells, root in built
+        ))
+        root_value = sum((c for c, _, root in built if root), 0.0)
+        assert repr(f.root_value()) == repr(root_value)
+        data, refusal = {}, None
+        for v, address in ref_leaves(depth):
+            if address is None:
+                data[v] = root_value
+                continue
+            held = [ref_holds(cells, address) for _, cells, _ in built]
+            message = next((h for h in held if isinstance(h, str)), None)
+            if message is not None:
+                refusal = refusal or message
+                with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                    f.value_at_cell(address)
+                continue
+            # Bit for bit, and a float where no term holds the cell.
+            data[v] = sum((c for (c, _, _), h in zip(built, held) if h), 0.0)
+            assert repr(f.value_at_cell(address)) == repr(data[v])
+        if refusal is not None:
+            with pytest.raises(DomainError, match=f"^{re.escape(refusal)}$"):
+                f.boundary_data(REF_TREES[depth])
+        else:
+            got = f.boundary_data(REF_TREES[depth])
+            assert {v: repr(x) for v, x in got.items()} == {v: repr(x) for v, x in data.items()}
 
 
 class TestAddressCost:
