@@ -248,12 +248,22 @@ def _cmd_solve(args) -> int:
 def _cmd_dn(args) -> int:
     g = _load_graph(args)
     dn = dn_matrix(g)
-    for v, row in zip(dn.boundary, dn.matrix):
+    m = dn.matrix
+    for v, row in zip(dn.boundary, m):
         print(f"row {v}" + "".join(f" {x:.12g}" for x in row))
-    print(f"symmetry-residual {dn.symmetry_residual():.6g}")
-    print(f"min-eigenvalue {dn.min_eigenvalue():.12g}")
+    # Relative, so they read the same at any scale.  S = D^-1/2 L D^-1/2, D
+    # the diagonal, has L's signs and, as L is semidefinite, |S_ij| <= 1:
+    # its largest asymmetry and its least eigenvalue are printed.
+    root = np.sqrt(np.abs(np.diag(m)))
+    root += root == 0
+    scaled = m / root[:, None] / root
+    print(f"symmetry-residual {np.abs(scaled - scaled.T).max():.6g}")
+    print(f"min-eigenvalue {np.linalg.eigvalsh(0.5 * (scaled + scaled.T))[0]:.12g}")
     if not g.edge_table[3].any():
-        print(f"constant-nullspace-residual {dn.constant_residual():.6g}")
+        # Each row sum, relative to the row's absolute sum.
+        rows = np.abs(m).sum(axis=1)
+        residual = np.abs(m.sum(axis=1)) / (rows + (rows == 0))
+        print(f"constant-nullspace-residual {residual.max():.6g}")
     if args.output:
         fileio.write_dn_matrix(dn, args.output)
     return 0

@@ -212,11 +212,14 @@ class ClopenSet:
         """
         ends = graph.boundary_vertices
         codes = _address_codes(graph)[list(ends)].tolist()
+        for v, c in zip(ends, codes):
+            if c < 0:
+                raise DomainError(f"boundary vertex {v} carries no address")
         if self.include_root and 0 not in codes:
             raise DomainError("graph has no root boundary vertex")
         return tuple(v for v, c in zip(ends, codes)
                      if (self.include_root if c == 0 else
-                         c > 0 and self.contains_cell(address_of(c))))
+                         self.contains_cell(address_of(c))))
 
     def flux(self, cells: np.ndarray, root: float) -> float:
         """Outward flux of one truncation through the set.
@@ -226,18 +229,22 @@ class ClopenSet:
         or a level solution's ``leaf_flux``), and ``root`` the root flux.
         Refuses any other number of cells.
         """
-        n = len(cells)
+        return float(self._fluxes(np.asarray(cells), root))
+
+    def _fluxes(self, cells: np.ndarray, root):
+        """:meth:`flux` on the last axis: one sum per block across all rows."""
+        n = cells.shape[-1]
         if n & (n - 1) or n < 1 << self.cell_depth:
             raise DomainError(
                 f"{n} cell fluxes are not the 2**M cells of a depth M >= "
                 f"{self.cell_depth}, the set's cell depth"
             )
         depth = n.bit_length()
-        total = root if self.include_root else 0.0
+        total = root if self.include_root else np.zeros_like(root)
         # One sum per canonical block: a sum per span would round differently.
         for p in self.prefixes:
-            total += cells[cylinder_slice(p, depth)].sum()
-        return float(total)
+            total = total + cells[..., cylinder_slice(p, depth)].sum(axis=-1)
+        return total
 
     def label(self) -> str:
         parts = [f"@{p}" for p in self.prefixes]
@@ -433,31 +440,28 @@ class ConvergenceReport:
     ratio: float | None
 
 
-def _report(depths, values, tol) -> ConvergenceReport:
-    residuals = tuple(
-        abs(values[i] - values[i - 1]) for i in range(1, len(values))
-    )
+def _reports(depths, table: np.ndarray, tol) -> list[ConvergenceReport]:
+    """One report per column of a depths x columns table of values."""
+    residuals = np.abs(table[1:] - table[:-1])
     tail = residuals[-CONSECUTIVE_BELOW_TOL:]
-    converged = len(tail) >= CONSECUTIVE_BELOW_TOL and all(r <= tol for r in tail)
-    ratio = None
-    extrapolated = None
-    if len(values) >= 3:
-        d1 = values[-1] - values[-2]
-        d0 = values[-2] - values[-3]
-        if d0 != 0.0:
-            ratio = d1 / d0
-            if abs(ratio) < 1.0:
-                extrapolated = values[-1] + d1 * ratio / (1.0 - ratio)
-    return ConvergenceReport(
-        depths=tuple(depths),
-        values=tuple(values),
-        residuals=residuals,
-        tolerance=tol,
-        converged=converged,
-        limit=values[-1],
-        extrapolated=extrapolated,
-        ratio=ratio,
-    )
+    converged = (tail <= tol).all(axis=0) & (len(tail) >= CONSECUTIVE_BELOW_TOL)
+    # The ratio needs three values and d0 != 0, the extrapolation |ratio| < 1.
+    ratio = extrapolated = [None] * table.shape[1]
+    if len(table) >= 3:
+        d1, d0 = table[-1] - table[-2], table[-2] - table[-3]
+        with np.errstate(all="ignore"):
+            r = d1 / d0
+            x = table[-1] + d1 * r / (1.0 - r)
+        has_ratio, inside = (d0 != 0.0).tolist(), (np.abs(r) < 1.0).tolist()
+        ratio = [a if b else None for a, b in zip(r.tolist(), has_ratio)]
+        extrapolated = [a if b and c else None
+                        for a, b, c in zip(x.tolist(), has_ratio, inside)]
+    depths = tuple(depths)
+    return [
+        ConvergenceReport(depths, tuple(values), tuple(res), tol, ok, values[-1], x, r)
+        for values, res, ok, x, r in zip(table.T.tolist(), residuals.T.tolist(),
+                                         converged.tolist(), extrapolated, ratio)
+    ]
 
 
 def _check_tolerance(tol: float) -> None:
@@ -498,8 +502,7 @@ def dn_function(
     lowest = max(f.min_truncation_depth, e.min_truncation_depth)
     depths = _depth_range(lowest, n_min, n_max)
     cells, root = _cell_fluxes(f, depths, e.cell_depth)
-    values = [e.flux(c, r) for c, r in zip(cells, root)]
-    return _report(depths, values, tol)
+    return _reports(depths, e._fluxes(cells, root)[:, None], tol)[0]
 
 
 @dataclass(frozen=True)
@@ -558,10 +561,9 @@ def measure_table(
         (rows.reshape(len(depths), 2**partition_depth, -1).sum(axis=2), roots)
     )
     whole = ClopenSet.whole_boundary(family)
-    totals = [whole.flux(row, root) for row, root in zip(rows, roots)]
-    additivity = np.abs(per_cell.sum(axis=1) - totals).max()
+    additivity = np.abs(per_cell.sum(axis=1) - whole._fluxes(rows, roots)).max()
 
-    reports = tuple(_report(depths, column.tolist(), tol) for column in per_cell.T)
+    reports = tuple(_reports(depths, per_cell, tol))
     values = tuple(r.limit for r in reports)
     return MeasureTable(
         partition_depth=partition_depth,

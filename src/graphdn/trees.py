@@ -58,11 +58,13 @@ _MIN_EDGE_LENGTH = 1e-300
 # MAX_SWEEP_EDGES bounds the truncation depth n of level_sweep and
 # cell_fluxes, and so the depth M < n of the cells read.  cell_fluxes
 # tabulates subtrees per level and class (k classes at level k, 300 in all
-# at depth 24) and sweeps only the 2**M cells read, one row per depth above
-# M, so at most 2**(n - 1) cell entries: 0.08 MB (traced) for exhaustion
-# through shallow cells at depth 24, and 0.27 GB (34 B per entry) through
-# a depth-23 cell.  Each ceiling keeps one call under about 1 GB: depth 20
-# (0.2 GB predicted) for the graph, depth 24 for the sweep.
+# at depth 24) in one table per call, swept in place, whose potential
+# integrals change only from the deepest level with a potential up; it
+# sweeps only the 2**M cells read, one row per depth above M, so at most
+# 2**(n - 1) cell entries: 0.08 MB (traced) for exhaustion through shallow
+# cells at depth 24, and 0.29 GB (34 B per entry) through a depth-23 cell.
+# Each ceiling keeps one call under about 1 GB: depth 20 (0.2 GB
+# predicted) for the graph, depth 24 for the sweep.
 MAX_GRAPH_EDGES = 2**20 - 1
 MAX_SWEEP_EDGES = 2**24 - 1
 
@@ -165,16 +167,21 @@ def class_lengths(spec: AlphaBetaSpec) -> list[np.ndarray]:
     half an ulp).  Refuses depths beyond ``MAX_SWEEP_EDGES``.
     """
     _check_depth(spec, MAX_SWEEP_EDGES, "level-array")
-    # Each product is held as an exact ratio of Python ints, whose true
-    # division rounds once.
+    # Each product is an exact Python int over 2**e, held as (int, e):
+    # float(n) rounds once and ldexp scales the normal lengths _check_depth
+    # admits exactly; from 1000 bits, where float(n) nears overflow, the int
+    # true division rounds once instead.
     (an, ad), (bn, bd) = spec.alpha.as_integer_ratio(), spec.beta.as_integer_ratio()
-    ratios, levels = [spec.root_length.as_integer_ratio()], []
+    ea, eb = ad.bit_length() - 1, bd.bit_length() - 1
+    rn, rd = spec.root_length.as_integer_ratio()
+    ratios, levels = [(rn, rd.bit_length() - 1)], []
     for _ in range(spec.depth):
-        levels.append(np.array([n / d for n, d in ratios]))
+        levels.append(np.array([math.ldexp(float(n), -e) if n.bit_length() < 1000
+                                else n / (1 << e) for n, e in ratios]))
         # Class i one level down: an a-step from class i, or for the last
         # class a b-step from the class above it.
-        last_n, last_d = ratios[-1]
-        ratios = [(n * an, d * ad) for n, d in ratios] + [(last_n * bn, last_d * bd)]
+        last_n, last_e = ratios[-1]
+        ratios = [(n * an, e + ea) for n, e in ratios] + [(last_n * bn, last_e + eb)]
     return levels
 
 
@@ -341,6 +348,44 @@ def level_sweep(
     return LevelSolution(values=tuple(values), leaf_flux=leaf_flux, root_flux=root_flux)
 
 
+def _subtree_table(d, o, w, kappa2, deepest, data, depths, top):
+    """:func:`cell_fluxes`' table of (Y, J per value, A, B c per value) x
+    depths x classes at level ``top + 1``, its rows in the order of ``depths``.
+
+    The rows are swept deepest first: those whose leaves lie at or below
+    level k are the first m, and each enters at its own level.  kappa2 is
+    added to Y only where it is not 0, as adding 0 to a positive Y changes
+    nothing.  Below the deepest potential the lift is 0, so the sweep's A
+    and B c are the leaves' zeros, signs included, and are left as they are.
+    """
+    n_max, v = len(kappa2), len(data)
+    first = top * (top + 1) // 2  # level top + 1's first class
+    d, o, w = d[first:], o[first:], w[first:]
+    leaves = np.concatenate(([d], o * data[:, None], [w], w * data[:, None]))
+    coefficients = np.empty((1 + v, len(d)))
+    coefficients[0], coefficients[1:] = d, -o
+    rows = np.bincount(depths, minlength=n_max + 1).tolist()
+    table, m = np.empty((2 + 2 * v, len(depths), n_max)), 0
+    for k in range(n_max, top, -1):
+        s = slice(k * (k - 1) // 2 - first, k * (k + 1) // 2 - first)
+        if m:
+            pairs = table[:len(table) if k <= deepest else 1 + v, :m]
+            pairs[..., :k] += pairs[..., 1:k + 1]
+            y_j = table[:1 + v, :m, :k]
+            pivot = d[s] + y_j[0]
+            if k <= deepest:
+                lift = (w[s] + table[1 + v, :m, :k]) / pivot
+                table[1 + v, :m, :k] = w[s] - o[s] * lift
+                table[2 + v:, :m, :k] -= table[1:1 + v, :m, :k] * lift
+            y_j *= coefficients[:, None, s]
+            if kappa2[k - 1]:
+                y_j[0] += kappa2[k - 1]
+            y_j /= pivot
+        table[:, m:m + rows[k], :k] = leaves[:, None, s]
+        m += rows[k]
+    return table[:, np.argsort(np.argsort(-depths, kind="stable")), :top + 1]
+
+
 def cell_fluxes(
     family: AlphaBetaSpec,
     cell_values: np.ndarray,
@@ -364,16 +409,17 @@ def cell_fluxes(
     and a class's children are its own and the next class one level down.
     With ``u`` the value above its top edge, a subtree draws ``Y u + J``
     through that edge, ``J = T c``, and holds the potential integral
-    ``A u + B c``.  One table row per depth carries these from the leaves
-    to level ``M + 1`` by the elimination step of :func:`level_sweep`,
-    adding the a-child first as the sweep does, with ``J`` and ``B c``
-    carried per distinct data value, so that each subtree's ``Y`` and ``J``
-    come from the very operations the sweep applies to it.  Only the top
-    ``M`` levels are swept edge by edge, and their vertex values are the
-    sweep's, bit for bit.  By current balance a cell's flux is
-    ``A u + B c - (Y u + J)`` on its top edge, which the symmetry of the
-    subtree's two-terminal map turns into the cancellation-free
-    ``T u + (B c - J)``; no leaf flux is summed.
+    ``A u + B c``.  One table, one row per depth, carries these in place
+    from the leaves to level ``M + 1`` by the elimination step of
+    :func:`level_sweep`, adding the a-child first as the sweep does, with
+    ``J`` and ``B c`` carried per distinct data value, so that each
+    subtree's ``Y`` and ``J`` come from the very operations the sweep
+    applies to it; ``A`` and ``B c`` change only from the deepest level
+    with a potential up.  Only the top ``M`` levels are swept edge by edge,
+    and their vertex values are the sweep's, bit for bit.  By current
+    balance a cell's flux is ``A u + B c - (Y u + J)`` on its top edge,
+    which the symmetry of the subtree's two-terminal map turns into the
+    cancellation-free ``T u + (B c - J)``; no leaf flux is summed.
     """
     depths = np.asarray(depths, dtype=int)
     if not len(depths):
@@ -402,7 +448,11 @@ def cell_fluxes(
     flat = np.concatenate(levels)
     potentials = np.repeat(kappa2, range(1, n_max + 1))
     d, o = edge_dn_blocks(flat, potentials)
-    w = edge_potential_weights(flat, potentials)
+    # Potential integrals w are 0 below the deepest level with a potential.
+    deepest = max((k + 1 for k, q in enumerate(kappa2) if q), default=0)
+    w, end = np.zeros(len(flat)), deepest * (deepest + 1) // 2
+    if deepest > top:
+        w[:end] = edge_potential_weights(flat[:end], potentials[:end])
     spans = [slice(k * (k - 1) // 2, k * (k + 1) // 2) for k in range(1, n_max + 1)]
     counts = _b_counts(top + 1)
 
@@ -410,26 +460,9 @@ def cell_fluxes(
         # Level k + 1's edge block, gathered when the sweep reaches it.
         return d[spans[k]][counts[k]], o[spans[k]][counts[k]]
 
-    # Leaf to level top + 1.  The table stacks Y, A and, per distinct data
-    # value c, J and B c, so T is J at c = 1.  Its rows are the depths whose
-    # leaves lie at or below the current level, deepest first; each starts
-    # from leaf values at its own level.
     data, index = np.unique(np.append(cell_values, 1.0), return_inverse=True)
     v = len(data)
-    leaves = np.concatenate(([d, w], o * data[:, None], w * data[:, None]))
-    rows = np.bincount(depths, minlength=n_max + 1).tolist()
-    table = np.empty((2 + 2 * v, 0, n_max))
-    for k in range(n_max, top, -1):
-        s = spans[k - 1]
-        if k < n_max:
-            table = table[..., :-1] + table[..., 1:]
-            y, a, j, b = table[0], table[1], table[2:2 + v], table[2 + v:]
-            pivot, y, j_k = _eliminate(d[s], o[s], kappa2[k - 1], y, j)
-            lift = (w[s] + a) / pivot
-            table = np.concatenate(([y, w[s] - o[s] * lift], j_k, b - j * lift))
-        start = leaves[:, None, s].repeat(rows[k], axis=1)
-        table = np.concatenate((table, start), axis=1)
-    table = table[:, np.argsort(np.argsort(-depths, kind="stable"))]
+    table = _subtree_table(d, o, w, kappa2, deepest, data, depths, top)
 
     # Each cell reads its class's Y and T, and J and B c at its data value:
     # the cells below data cell g are a run of 2**(top - given), so the data
@@ -443,16 +476,16 @@ def cell_fluxes(
     # _reduce gets the only references to the per-cell Y and J, and frees
     # them before it gathers the first block.
     values, y_root, j_root = _reduce(
-        block, kappa2[:top], table[0][:, cell], per_cell(table[2:2 + v]), root_value
+        block, kappa2[:top], table[0][:, cell], per_cell(table[1:1 + v]), root_value
     )
     # T u + (B c - J), in place, with u the value above each cell's top
     # edge.  B c - J is subtracted per class before the gather, the same
     # operation on the same operands.  `take` returns the rows contiguous:
     # numpy's summation order follows the memory layout, and callers sum
     # over rows and across cells.
-    cells = table[2 + index[-1]].take(cell, axis=1)
+    cells = table[1 + index[-1]].take(cell, axis=1)
     cells *= np.repeat(values[-1], (1 << top) // values[-1].shape[-1], axis=-1)
-    cells += per_cell(table[2 + v:] - table[2:2 + v])
+    cells += per_cell(table[2 + v:] - table[1:1 + v])
     return cells, y_root[:, 0] * root_value + j_root[:, 0]
 
 

@@ -4,7 +4,9 @@ Every oracle here deliberately avoids the package's own closed forms and
 solver path: finite differences for single-edge problems, dense numpy
 linear algebra for whole-graph problems, resistor-network algebra with the
 self-similar tail resistance for infinite-tree fluxes, and adaptive
-quadrature for integrals.
+quadrature for integrals.  The one exception is ``table_cell_fluxes``, a
+frozen copy of an earlier exhaustion kernel that the current one must
+match bit for bit.
 """
 
 from __future__ import annotations
@@ -254,3 +256,106 @@ def mp_leaf_fluxes(
         d0, o0 = blocks[0][0]
         second = values[1][0] if len(values) > 1 else leaves[0]
         return flux, d0 * values[0][0] + o0 * second
+
+
+def table_cell_fluxes(family, cell_values, root_value, depths, cell_depth):
+    """The subtree-table sweep of ``graphdn.trees.cell_fluxes``, frozen.
+
+    A verbatim copy of the kernel as it stood before its sweep ran in place
+    on one table: one ``_eliminate`` call, two concatenations and a repeat
+    per level, with the potential integrals carried on every level.  It
+    reuses the package's edge blocks and top sweep, so it is a reference
+    for bit-for-bit differential tests of the kernel's table, not an
+    independent oracle.
+    """
+    from dataclasses import replace
+
+    from graphdn.edge import edge_dn_blocks, edge_potential_weights
+    from graphdn.errors import DomainError, ValidationError
+    from graphdn.trees import (
+        _b_counts,
+        _check_finite,
+        _eliminate,
+        _reduce,
+        class_lengths,
+    )
+
+    depths = np.asarray(depths, dtype=int)
+    if not len(depths):
+        raise DomainError("no truncation depths given")
+    n_max = int(depths.max())
+    levels = class_lengths(replace(family, depth=n_max))
+    cell_values = np.asarray(cell_values, dtype=float)
+    given = len(cell_values).bit_length() - 1
+    if len(cell_values) != 1 << given:
+        raise ValidationError(
+            f"need one value per cell of a level, got {len(cell_values)}"
+        )
+    top = cell_depth
+    if top < given:
+        raise DomainError(f"depth-{top} cells are coarser than the data's")
+    if depths.min() <= top:
+        raise DomainError(
+            f"depth {depths.min()} does not resolve the depth-{top} cells"
+        )
+    _check_finite(cell_values, root_value, "cell")
+    kappa2 = [family.kappa2_at_level(k + 1) for k in range(n_max)]
+
+    # Level k's classes sit at flat[k (k - 1) / 2 : k (k + 1) / 2]; every
+    # edge of levels 1 .. top + 1 (the last are the cells' top edges) reads
+    # its class by its b-count.
+    flat = np.concatenate(levels)
+    potentials = np.repeat(kappa2, range(1, n_max + 1))
+    d, o = edge_dn_blocks(flat, potentials)
+    w = edge_potential_weights(flat, potentials)
+    spans = [slice(k * (k - 1) // 2, k * (k + 1) // 2) for k in range(1, n_max + 1)]
+    counts = _b_counts(top + 1)
+
+    def block(k):
+        # Level k + 1's edge block, gathered when the sweep reaches it.
+        return d[spans[k]][counts[k]], o[spans[k]][counts[k]]
+
+    # Leaf to level top + 1.  The table stacks Y, A and, per distinct data
+    # value c, J and B c, so T is J at c = 1.  Its rows are the depths whose
+    # leaves lie at or below the current level, deepest first; each starts
+    # from leaf values at its own level.
+    data, index = np.unique(np.append(cell_values, 1.0), return_inverse=True)
+    v = len(data)
+    leaves = np.concatenate(([d, w], o * data[:, None], w * data[:, None]))
+    rows = np.bincount(depths, minlength=n_max + 1).tolist()
+    table = np.empty((2 + 2 * v, 0, n_max))
+    for k in range(n_max, top, -1):
+        s = spans[k - 1]
+        if k < n_max:
+            table = table[..., :-1] + table[..., 1:]
+            y, a, j, b = table[0], table[1], table[2:2 + v], table[2 + v:]
+            pivot, y, j_k = _eliminate(d[s], o[s], kappa2[k - 1], y, j)
+            lift = (w[s] + a) / pivot
+            table = np.concatenate(([y, w[s] - o[s] * lift], j_k, b - j * lift))
+        start = leaves[:, None, s].repeat(rows[k], axis=1)
+        table = np.concatenate((table, start), axis=1)
+    table = table[:, np.argsort(np.argsort(-depths, kind="stable"))]
+
+    # Each cell reads its class's Y and T, and J and B c at its data value:
+    # the cells below data cell g are a run of 2**(top - given), so the data
+    # index broadcasts over the run and no per-cell index is built.
+    cell = counts[top]
+    runs = cell.reshape(len(index) - 1, -1)
+
+    def per_cell(by_value):
+        return by_value[index[:-1, None], :, runs].reshape(1 << top, -1).T
+
+    # _reduce gets the only references to the per-cell Y and J, and frees
+    # them before it gathers the first block.
+    values, y_root, j_root = _reduce(
+        block, kappa2[:top], table[0][:, cell], per_cell(table[2:2 + v]), root_value
+    )
+    # T u + (B c - J), in place, with u the value above each cell's top
+    # edge.  B c - J is subtracted per class before the gather, the same
+    # operation on the same operands.  `take` returns the rows contiguous:
+    # numpy's summation order follows the memory layout, and callers sum
+    # over rows and across cells.
+    cells = table[2 + index[-1]].take(cell, axis=1)
+    cells *= np.repeat(values[-1], (1 << top) // values[-1].shape[-1], axis=-1)
+    cells += per_cell(table[2 + v:] - table[2:2 + v])
+    return cells, y_root[:, 0] * root_value + j_root[:, 0]

@@ -931,3 +931,14 @@ def test_dn_contract(alpha, depth, kappa2, root_length, weight_ratio, malformed)
         argv.append(malformed)
     code = _check_tree_contract(argv, ("-o",))
     assert code == 2 or (malformed is None and code == 0)
+    if code == 0:
+        # The checks are relative, so a matrix whose entries span 1e-316 to
+        # 1e154 reads as sound.  The scaled eigenvalue and the row sums carry
+        # an entry error near 1e-10 (up to 1.7e-10 seen), far above
+        # rounding, whose source is not known; the bounds leave room for it.
+        _, out, _ = _run_main(argv)
+        report = dict(line.split(" ", 1) for line in out.splitlines()
+                      if not line.startswith("row "))
+        assert float(report["symmetry-residual"]) <= 1e-13
+        assert float(report["min-eigenvalue"]) >= -1e-8
+        assert float(report.get("constant-nullspace-residual", 0.0)) <= 1e-8

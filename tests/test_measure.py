@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from graphdn import measure
 from graphdn.dirichlet import current_balance, solve_dirichlet
 from graphdn.errors import DomainError, ValidationError
-from graphdn.graph import address_of
+from graphdn.graph import VertexMeta, address_of, build_graph
 from graphdn.measure import (
     ClopenSet,
     SimpleBoundaryFunction,
@@ -96,6 +96,19 @@ class TestClopenSet:
         whole = ClopenSet.whole_boundary(FAM5)
         assert whole.resolve(g) == g.boundary_vertices
         assert ClopenSet.root_vertex(FAM5).resolve(g) == (0,)
+
+    def test_resolve_refuses_an_unaddressed_boundary_vertex(self):
+        # Vertex 4 is a leaf with no metadata: resolve refuses it as
+        # boundary_data does, rather than leave it out of the flux sum.
+        meta = {0: VertexMeta(0), 1: VertexMeta(1, ""), 2: VertexMeta(2, "a"),
+                3: VertexMeta(2, "b")}
+        g = build_graph([(0, 1, 1.0), (1, 2, 0.5), (1, 3, 0.5), (1, 4, 0.5)], meta=meta)
+        whole = ClopenSet.whole_boundary(FAM5)
+        message = "^boundary vertex 4 carries no address$"
+        with pytest.raises(DomainError, match=message):
+            whole.resolve(g)
+        with pytest.raises(DomainError, match=message):
+            SimpleBoundaryFunction.indicator(whole).boundary_data(g)
 
     def test_flux_sums_cells(self):
         cells = np.array([1.0, 2.0, 4.0, 8.0])  # the depth-2 cells aa .. bb
@@ -226,6 +239,10 @@ class TestDnFunction:
                 indicator(FAM5, "a"), ClopenSet.cylinder(FAM3, "b"),
                 tol=1e-6, n_max=6,
             )
+
+    def test_empty_set_reads_zero(self):
+        rep = dn_function(indicator(FAM5, "a"), ClopenSet(FAM5, ()), tol=1e-6, n_max=5)
+        assert rep.values == (0.0,) * 4 and rep.converged
 
     def test_nonconvergence_is_data(self):
         rep = dn_function(

@@ -359,6 +359,23 @@ class TestLevelArrays:
                     exact = a ** (k - 1 - i) * b**i
                     assert abs(length - exact) <= eps * exact
 
+    @given(alpha=st.floats(min_value=0.01, max_value=0.99),
+           root_length=st.floats(min_value=1e-100, max_value=1e200))
+    @example(alpha=0.3, root_length=1.0)
+    @example(alpha=0.1, root_length=1e200)
+    @settings(max_examples=30, deadline=None)
+    def test_class_lengths_round_exact_products_once(self, alpha, root_length):
+        from fractions import Fraction
+
+        # At depth 24 the numerators of most alphas pass the 1000 bits that
+        # class_lengths converts with ldexp (1,267 bits for the second
+        # example); float(Fraction) is the correctly rounded quotient.
+        spec = AlphaBetaSpec(alpha=alpha, depth=24, root_length=root_length)
+        a, b, root = Fraction(spec.alpha), Fraction(spec.beta), Fraction(root_length)
+        for k, lengths in enumerate(trees.class_lengths(spec), start=1):
+            exact = [root * a ** (k - 1 - i) * b**i for i in range(k)]
+            assert lengths.tolist() == [float(x) for x in exact]
+
     def test_cylinder_slice_matches_cylinder_leaves(self):
         depth = 5
         g = generate_ab_tree(AlphaBetaSpec(alpha=0.4, depth=depth))
@@ -528,6 +545,46 @@ class TestCellFluxes:
             scale = abs(d0[0] * coefs[4]) + abs(o0[0] * sol.values[1][0])
             bound = 64 * eps * scale + n * 2.0**-1074 * d0[0]
             assert abs(root - sol.root_flux) <= bound
+
+    @given(data=st.data(), alpha=st.floats(min_value=0.05, max_value=0.95),
+           seed=st.integers(0, 2**32 - 1),
+           potential=st.sampled_from(["none", "above top", "below top"]))
+    @example(data=None, alpha=0.3, seed=0, potential="none")
+    @settings(max_examples=150, deadline=None)
+    def test_matches_table_sweep_bit_for_bit(self, data, alpha, seed, potential):
+        from oracles import table_cell_fluxes
+
+        if data is None:  # the exhaustion of cyl:a through cyl:b to depth 16
+            top, depths, kappa2 = 1, list(range(2, 17)), ()
+            values, root = np.array([1.0, 0.0]), 0.0
+        else:
+            n_max = data.draw(st.integers(2, 14), "n_max")
+            top = data.draw(st.integers(0, n_max - 1), "top")
+            given = data.draw(st.integers(0, min(top, 5)), "given")
+            # Unsorted and repeated depths; the last level with a potential
+            # lies at or above top, or below it.
+            depths = data.draw(st.lists(st.integers(top + 1, n_max), min_size=1,
+                                        max_size=6), "depths")
+            deepest = {
+                "none": 0,
+                "above top": data.draw(st.integers(0, top)),
+                "below top": data.draw(st.integers(top + 1, n_max + 2)),
+            }[potential]
+            kappa2 = tuple(data.draw(st.lists(st.sampled_from(KAPPA2_CHOICES),
+                                              min_size=deepest, max_size=deepest)))
+            if deepest:
+                kappa2 = kappa2[:-1] + (4.0,)
+            distinct = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=1,
+                                          max_size=16, unique=True), "values")
+            values = np.random.default_rng(seed).choice(distinct, 2**given)
+            root = data.draw(st.floats(-4.0, 4.0), "root")
+        family = AlphaBetaSpec(alpha=alpha, depth=2, kappa2_per_level=kappa2)
+        ours = trees.cell_fluxes(family, values, root, depths, top)
+        reference = table_cell_fluxes(family, values, root, depths, top)
+        # Compared as bit patterns, so that signs of zero count.
+        for x, y in zip(ours, reference):
+            assert x.shape == y.shape
+            assert np.array_equal(x.view(np.int64), y.view(np.int64))
 
     # A cell's flux carries the rounding of the value above its top edge
     # times the subtree's admittance, about 1 / (top-edge length): reading
