@@ -203,20 +203,35 @@ class DirichletSolution:
             worst = max(worst, abs(s(0.0) - ua), abs(s(s.length) - ub))
         return worst
 
-    def kirchhoff_residuals(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per interior vertex: |sum of outward edge derivatives| and scale.
+    @cached_property
+    def _derivative_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per vertex: its summed outward edge derivatives, and their terms.
 
-        The scale sums the absolute terms ``|diag*u_a| + |off*u_b|`` of each
-        derivative, not its already cancelled value.
+        The second array sums the absolute terms ``|diag*u_a| + |off*u_b|``
+        of each derivative, not its already cancelled value: the scale of
+        every identity that adds derivatives up.
         """
         g = self.graph
         a, b, diag, off = blocks = _edge_blocks(g)
         ends, outward = _outward(blocks, self.values)
         _, terms = _outward((a, b, np.abs(diag), np.abs(off)), np.abs(self.values))
-        sums = np.bincount(ends, outward, minlength=g.n_vertices)
-        scales = np.bincount(ends, terms, minlength=g.n_vertices)
-        idx = np.asarray(g.interior_vertices, dtype=np.intp)
+        n = g.n_vertices
+        return np.bincount(ends, outward, minlength=n), np.bincount(ends, terms, minlength=n)
+
+    def kirchhoff_residuals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per interior vertex: |sum of outward edge derivatives| and scale.
+
+        The scale sums the absolute terms of each derivative (see
+        ``_derivative_terms``).
+        """
+        sums, scales = self._derivative_terms
+        idx = np.asarray(self.graph.interior_vertices, dtype=np.intp)
         return np.abs(sums[idx]), scales[idx]
+
+    def _boundary_terms(self) -> np.ndarray:
+        """Per boundary vertex, the absolute terms its derivative sums."""
+        idx = np.asarray(self.graph.boundary_vertices, dtype=np.intp)
+        return self._derivative_terms[1][idx]
 
 
 def _coerce_boundary_values(g: MetricGraph, data) -> np.ndarray:
@@ -370,7 +385,7 @@ def current_balance(sol: DirichletSolution) -> CurrentBalance:
         potential_integral=float(integral),
         residual=float(flux - integral),
         # The edge weights are nonnegative.
-        scale=float(np.abs(sol.boundary_derivatives).sum() + weights @ np.abs(ends)),
+        scale=float(sol._boundary_terms().sum() + weights @ np.abs(ends)),
     )
 
 
@@ -398,8 +413,7 @@ def energy_identity(sol: DirichletSolution) -> EnergyIdentity:
         energy=sol.energy,
         residual=float(form - sol.energy),
         # The edge energies are nonnegative.
-        scale=float(np.abs(sol.boundary_values) @ np.abs(sol.boundary_derivatives))
-        + sol.energy,
+        scale=float(np.abs(sol.boundary_values) @ sol._boundary_terms()) + sol.energy,
     )
 
 

@@ -57,12 +57,13 @@ _MIN_EDGE_LENGTH = 1e-300
 # and 227 MB at depth 22 (about 57 B per edge).
 # MAX_SWEEP_EDGES bounds the truncation depth n of level_sweep and
 # cell_fluxes, and so the depth M < n of the cells read.  cell_fluxes
-# tabulates subtrees per level and class (k classes at level k, 300 in all
-# at depth 24) in one table per call, swept in place, whose potential
-# integrals change only from the deepest level with a potential up; it
-# sweeps only the 2**M cells read, one row per depth above M, so at most
-# 2**(n - 1) cell entries: 0.08 MB (traced) for exhaustion through shallow
-# cells at depth 24, and 0.29 GB (34 B per entry) through a depth-23 cell.
+# builds class lengths and edge blocks only for the levels 1 .. max(M, P)
+# + 1, P the deepest level with a potential (k classes at level k, 300 in
+# all were P at depth 24); its table, one row per depth, is swept in place
+# over the levels M + 1 .. P and takes every deeper subtree from one
+# admittance recurrence.  It sweeps only the 2**M cells read, so at most
+# 2**(n - 1) cell entries: 0.01 MB (traced) for exhaustion through shallow
+# cells at depth 24, and 0.27 GB (34 B per entry) through a depth-23 cell.
 # Each ceiling keeps one call under about 1 GB: depth 20 (0.2 GB
 # predicted) for the graph, depth 24 for the sweep.
 MAX_GRAPH_EDGES = 2**20 - 1
@@ -348,42 +349,80 @@ def level_sweep(
     return LevelSolution(values=tuple(values), leaf_flux=leaf_flux, root_flux=root_flux)
 
 
-def _subtree_table(d, o, w, kappa2, deepest, data, depths, top):
+def _admittances(alpha: float, beta: float, count: int) -> list[float]:
+    """Scaled admittances ``y(1), ..., y(count)`` of potential-free subtrees.
+
+    Under constant data ``c``, the potential-free subtree of a truncation
+    that hangs from an edge of length ``l`` and is ``m`` levels deep,
+    counting the edge, draws ``y(m) / l * (u - c)`` through it.  A leaf
+    edge has ``y(1) = 1``; an edge in series with its two children, whose
+    lengths ``alpha l`` and ``beta l`` put their subtrees in parallel, has
+    ``y(m + 1) = y(m) / (y(m) + alpha beta)``.  The sequence tends to the
+    infinite subtree's fixed point ``1 - alpha beta``, its error shrinking
+    by a factor of about ``alpha beta`` per level.
+    """
+    ab, y = alpha * beta, [1.0]
+    for _ in range(count - 1):
+        y.append(y[-1] / (y[-1] + ab))
+    return y
+
+
+def _subtree_table(d, o, w, kappa2, tail, data, depths, top):
     """:func:`cell_fluxes`' table of (Y, J per value, A, B c per value) x
     depths x classes at level ``top + 1``, its rows in the order of ``depths``.
 
-    The rows are swept deepest first: those whose leaves lie at or below
-    level k are the first m, and each enters at its own level.  kappa2 is
-    added to Y only where it is not 0, as adding 0 to a positive Y changes
-    nothing.  Below the deepest potential the lift is 0, so the sweep's A
-    and B c are the leaves' zeros, signs included, and are left as they are.
+    ``kappa2`` lists the potentials of levels ``1 .. S``, where the seed
+    level ``S >= top`` is the last level that may have one.  The rows
+    deeper than ``S`` enter at level ``S + 1`` from ``tail = (y,
+    lengths)``, the scaled admittances of :func:`_admittances` and that
+    level's class lengths: such a subtree draws ``Y (u - c)``, so
+    ``J = -Y c``, and holds no potential integral.  The table is swept
+    over the levels ``top + 1 .. S`` only, deepest first: the rows whose
+    leaves lie at or below level k are the first m, and each shallower row
+    enters at its own level as a leaf.  kappa2 is added to Y only where it
+    is not 0, as adding 0 to a positive Y changes nothing.
     """
-    n_max, v = len(kappa2), len(data)
+    seed, v = len(kappa2), len(data)
+    # Deepest first, so that the rows in the sweep are always the first m:
+    # those deeper than the seed level from the start, then each shallower
+    # one from its own level.  The depths are few: Python orders them.
+    depths = depths.tolist()
+    order = sorted(range(len(depths)), key=lambda i: -depths[i])
+    deep = sorted(depths, reverse=True)
+    m = sum(n > seed for n in deep)
+    table = np.zeros((2 + 2 * v, len(depths), seed + 1))
+    if m:
+        y, lengths = tail
+        table[0, :m] = np.divide.outer([y[n - seed - 1] for n in deep[:m]], lengths)
+        np.multiply(table[0, :m], -data[:, None, None], out=table[1:1 + v, :m])
+    inverse = sorted(range(len(order)), key=order.__getitem__)
+    if seed == top:  # no level to sweep
+        return table[:, inverse, :top + 1]
     first = top * (top + 1) // 2  # level top + 1's first class
     d, o, w = d[first:], o[first:], w[first:]
     leaves = np.concatenate(([d], o * data[:, None], [w], w * data[:, None]))
     coefficients = np.empty((1 + v, len(d)))
     coefficients[0], coefficients[1:] = d, -o
-    rows = np.bincount(depths, minlength=n_max + 1).tolist()
-    table, m = np.empty((2 + 2 * v, len(depths), n_max)), 0
-    for k in range(n_max, top, -1):
+    rows = [0] * (seed + 1)
+    for n in deep[m:]:
+        rows[n] += 1
+    for k in range(seed, top, -1):
         s = slice(k * (k - 1) // 2 - first, k * (k + 1) // 2 - first)
         if m:
-            pairs = table[:len(table) if k <= deepest else 1 + v, :m]
+            pairs = table[:, :m]
             pairs[..., :k] += pairs[..., 1:k + 1]
             y_j = table[:1 + v, :m, :k]
             pivot = d[s] + y_j[0]
-            if k <= deepest:
-                lift = (w[s] + table[1 + v, :m, :k]) / pivot
-                table[1 + v, :m, :k] = w[s] - o[s] * lift
-                table[2 + v:, :m, :k] -= table[1:1 + v, :m, :k] * lift
+            lift = (w[s] + table[1 + v, :m, :k]) / pivot
+            table[1 + v, :m, :k] = w[s] - o[s] * lift
+            table[2 + v:, :m, :k] -= table[1:1 + v, :m, :k] * lift
             y_j *= coefficients[:, None, s]
             if kappa2[k - 1]:
                 y_j[0] += kappa2[k - 1]
             y_j /= pivot
         table[:, m:m + rows[k], :k] = leaves[:, None, s]
         m += rows[k]
-    return table[:, np.argsort(np.argsort(-depths, kind="stable")), :top + 1]
+    return table[:, inverse, :top + 1]
 
 
 def cell_fluxes(
@@ -409,23 +448,27 @@ def cell_fluxes(
     and a class's children are its own and the next class one level down.
     With ``u`` the value above its top edge, a subtree draws ``Y u + J``
     through that edge, ``J = T c``, and holds the potential integral
-    ``A u + B c``.  One table, one row per depth, carries these in place
-    from the leaves to level ``M + 1`` by the elimination step of
-    :func:`level_sweep`, adding the a-child first as the sweep does, with
-    ``J`` and ``B c`` carried per distinct data value, so that each
-    subtree's ``Y`` and ``J`` come from the very operations the sweep
-    applies to it; ``A`` and ``B c`` change only from the deepest level
-    with a potential up.  Only the top ``M`` levels are swept edge by edge,
-    and their vertex values are the sweep's, bit for bit.  By current
-    balance a cell's flux is ``A u + B c - (Y u + J)`` on its top edge,
-    which the symmetry of the subtree's two-terminal map turns into the
+    ``A u + B c``.  With ``P`` the deepest level with a potential, every
+    subtree below level ``S = max(M, P)`` is a scaled copy of one
+    potential-free subtree, whose admittance one recurrence gives
+    (:func:`_admittances`): it draws ``Y (u - c)`` and holds no potential
+    integral.  One table, one row per depth, starts there at level
+    ``S + 1`` and is swept in place by the elimination step of
+    :func:`level_sweep` over the potential levels ``M + 1 .. P`` only,
+    none when ``P <= M``; shallower rows enter as leaves at their own
+    level.  A sweep carries ``J`` and ``B c`` per distinct data value;
+    without one they are ``-Y c`` and 0, read cell by cell.  Only levels
+    ``1 .. S + 1`` have their class lengths and edge blocks built, and
+    only the top ``M`` levels are swept edge by edge.  By current balance
+    a cell's flux is ``A u + B c - (Y u + J)`` on its top edge, which the
+    symmetry of the subtree's two-terminal map turns into the
     cancellation-free ``T u + (B c - J)``; no leaf flux is summed.
     """
     depths = np.asarray(depths, dtype=int)
     if not len(depths):
         raise DomainError("no truncation depths given")
     n_max = int(depths.max())
-    levels = class_lengths(replace(family, depth=n_max))
+    _check_depth(replace(family, depth=n_max), MAX_SWEEP_EDGES, "level-array")
     cell_values = np.asarray(cell_values, dtype=float)
     given = len(cell_values).bit_length() - 1
     if len(cell_values) != 1 << given:
@@ -441,37 +484,49 @@ def cell_fluxes(
         )
     _check_finite(cell_values, root_value, "cell")
     kappa2 = [family.kappa2_at_level(k + 1) for k in range(n_max)]
+    deepest = max((k + 1 for k, q in enumerate(kappa2) if q), default=0)
+    seed = max(top, deepest)
 
-    # Level k's classes sit at flat[k (k - 1) / 2 : k (k + 1) / 2]; every
+    # Level k's classes sit at flat[k (k - 1) / 2 : k (k + 1) / 2], for the
+    # levels down to seed + 1 that the table and the top sweep read; every
     # edge of levels 1 .. top + 1 (the last are the cells' top edges) reads
     # its class by its b-count.
+    levels = class_lengths(replace(family, depth=min(n_max, seed + 1)))
     flat = np.concatenate(levels)
-    potentials = np.repeat(kappa2, range(1, n_max + 1))
+    potentials = np.repeat(kappa2[:len(levels)], range(1, len(levels) + 1))
     d, o = edge_dn_blocks(flat, potentials)
     # Potential integrals w are 0 below the deepest level with a potential.
-    deepest = max((k + 1 for k, q in enumerate(kappa2) if q), default=0)
-    w, end = np.zeros(len(flat)), deepest * (deepest + 1) // 2
-    if deepest > top:
-        w[:end] = edge_potential_weights(flat[:end], potentials[:end])
-    spans = [slice(k * (k - 1) // 2, k * (k + 1) // 2) for k in range(1, n_max + 1)]
+    sweep = deepest > top
+    w = edge_potential_weights(flat, potentials) if sweep else np.zeros(len(flat))
+    spans = [slice(k * (k - 1) // 2, k * (k + 1) // 2) for k in range(1, top + 1)]
     counts = _b_counts(top + 1)
 
     def block(k):
         # Level k + 1's edge block, gathered when the sweep reaches it.
         return d[spans[k]][counts[k]], o[spans[k]][counts[k]]
 
-    data, index = np.unique(np.append(cell_values, 1.0), return_inverse=True)
+    # A sweep carries J and B c per distinct data value; without one, only
+    # at c = 1 (T and B), read as that row times each cell's c.
+    if sweep:
+        data, index = np.unique(np.append(cell_values, 1.0), return_inverse=True)
+    else:
+        data, index = np.ones(1), np.zeros(1, dtype=np.intp)
     v = len(data)
-    table = _subtree_table(d, o, w, kappa2, deepest, data, depths, top)
+    tail = (_admittances(family.alpha, family.beta, n_max - seed), levels[-1])
+    table = _subtree_table(d, o, w, kappa2[:seed], tail, data, depths, top)
 
     # Each cell reads its class's Y and T, and J and B c at its data value:
     # the cells below data cell g are a run of 2**(top - given), so the data
-    # index broadcasts over the run and no per-cell index is built.
+    # index or value broadcasts over the run and no per-cell index is built.
     cell = counts[top]
-    runs = cell.reshape(len(index) - 1, -1)
+    runs = cell.reshape(len(cell_values), -1)
 
     def per_cell(by_value):
-        return by_value[index[:-1, None], :, runs].reshape(1 << top, -1).T
+        if sweep:
+            return by_value[index[:-1, None], :, runs].reshape(1 << top, -1).T
+        out = by_value[0][:, runs]
+        out *= cell_values[:, None]
+        return out.reshape(len(depths), -1)
 
     # _reduce gets the only references to the per-cell Y and J, and frees
     # them before it gathers the first block.
@@ -479,10 +534,9 @@ def cell_fluxes(
         block, kappa2[:top], table[0][:, cell], per_cell(table[1:1 + v]), root_value
     )
     # T u + (B c - J), in place, with u the value above each cell's top
-    # edge.  B c - J is subtracted per class before the gather, the same
-    # operation on the same operands.  `take` returns the rows contiguous:
-    # numpy's summation order follows the memory layout, and callers sum
-    # over rows and across cells.
+    # edge.  B c - J is subtracted per class before the gather.  `take`
+    # returns the rows contiguous: numpy's summation order follows the
+    # memory layout, and callers sum over rows and across cells.
     cells = table[1 + index[-1]].take(cell, axis=1)
     cells *= np.repeat(values[-1], (1 << top) // values[-1].shape[-1], axis=-1)
     cells += per_cell(table[2 + v:] - table[1:1 + v])

@@ -263,10 +263,10 @@ def table_cell_fluxes(family, cell_values, root_value, depths, cell_depth):
 
     A verbatim copy of the kernel as it stood before its sweep ran in place
     on one table: one ``_eliminate`` call, two concatenations and a repeat
-    per level, with the potential integrals carried on every level.  It
-    reuses the package's edge blocks and top sweep, so it is a reference
-    for bit-for-bit differential tests of the kernel's table, not an
-    independent oracle.
+    per level, with every subtree swept from its leaves and the potential
+    integrals carried on every level.  It reuses the package's edge blocks
+    and top sweep, so it is a reference for differential tests of the
+    kernel's table, not an independent oracle.
     """
     from dataclasses import replace
 

@@ -142,10 +142,8 @@ def test_solve_residuals_are_relative(kappa2, capsys):
         assert max(values) - min(values) <= 16 * eps, (name, values)
 
 
-def test_kirchhoff_residual_scaled_by_its_terms(tmp_path, capsys):
-    # Deep vertices, where u is nearly constant and edges are about 1e-4
-    # long, sum derivatives that are themselves cancelled differences;
-    # scaled by those differences this correct solve read 1.86e-9.
+def _shortcut_solve(tmp_path, capsys) -> str:
+    """``solve`` output on a depth-12 tree with potentials and shortcuts."""
     path = tmp_path / "g.txt"
     code, _, err = run(
         capsys, "generate", "--alpha", "0.3", "--depth", "12", "--kappa2", "4,2,1,0.5",
@@ -156,8 +154,25 @@ def test_kirchhoff_residual_scaled_by_its_terms(tmp_path, capsys):
     code, out, err = run(capsys, "solve", "--graph", str(path),
                          "--data", "v0=1.3,default=-0.4")
     assert code == 0, err
+    return out
+
+
+def test_kirchhoff_residual_scaled_by_its_terms(tmp_path, capsys):
+    # Deep vertices, where u is nearly constant and edges are about 1e-4
+    # long, sum derivatives that are themselves cancelled differences;
+    # scaled by those differences this correct solve read 1.86e-9.
+    out = _shortcut_solve(tmp_path, capsys)
     (line,) = [line for line in out.splitlines() if line.startswith("kirchhoff-residual ")]
     assert float(line.split()[1]) <= 1e-14
+
+
+def test_boundary_identities_scaled_by_their_terms(tmp_path, capsys):
+    # The same cancelled boundary derivatives: scaled by them, this correct
+    # solve read a current-balance residual of -3.23e-11 and an
+    # energy-identity residual of 1.11e-11.
+    residuals = _residual_lines(_shortcut_solve(tmp_path, capsys))
+    assert abs(residuals["current-balance-residual"]) <= 1e-14
+    assert abs(residuals["energy-identity-residual"]) <= 1e-14
 
 
 @pytest.mark.parametrize("spec, plain", [
@@ -745,37 +760,37 @@ def test_solve_requires_single_source(tmp_path, capsys):
 PINNED_RUNS = [
     ("converge --alpha 0.45 --F 2*cyl:ab-cyl:ba+0.25*cyl:bbb --E cyl:b --max-depth 10", 3,
      "65ca2e322a7aefcd1e9fdd690188dde8234713bc1a1f9aa0720d1bc7cd736502",
-     "7d24a13934c2e1402a600fb44bcf0f0e530619234e9f02c8c28cc43cf624e733",
-     "03367b21d2fac50cd077ab896edf7566904dca89bb97cfbfa753b0aae58d6196"),
+     "829f97f85d37b2ddcf26612d5ff684bd76dee9999274d82b6a222b51a9936b44",
+     "b638e4b5a36ade3e4f86f3a682c1a146cd914a680ec4cafe84fb1c5c9f7d7e7a"),
     ("converge --alpha 0.3 --kappa2 4,1 --F cyl:aa+cyl:ab+cyl:b-v0 --E all --max-depth 9", 3,
      "0d956a8897413b7108f78c24d77820b8fdc329a6c1c331e9028567d2cf270e83",
      "0c5d6e6f6cf42811315533584e1f253abce15ff5874cbd78728976dd2dacf210",
      "c197ec4f468d4b22577de6e14736f97d085197db1a7c34a477a81e0d148f2a9f"),
     ("converge --alpha 0.3 --F cyl:aaaa+cyl:b --E cyl:b --max-depth 11", 3,
      "e358c0a4c585ba3812a0c0ae2a07713b95c163492d83ba08046e281106b5bcc5",
-     "8e41a6360f1b1495adbe5e13a4e0b10402bea7154fd93f0f772a88f5f3a35d1a",
-     "18a1e708121b33e50074272f7648a4ee9682222025fba77708abafcc12b6c7f3"),
+     "74d89c302ecb2e56223cb5f06a261590ba56c0300b59d61a0c4f4d8ba74941c3",
+     "adaf08e86b9c532643d5f87253552d610165e76965d5147278916f353aacff56"),
     ("converge --alpha 0.7 --F cyl:aab+cyl:aba+cyl:abb-0.5*cantor+0.1*cyl:b --E cyl:ab "
      "--max-depth 10", 3,
      "20e998f90b1fd470f62f48ce5adb6caa022eceb00c38e48002a266b59d1c2cfd",
-     "341f49d25d39d678e93d9b4ae726e601a20604aeee07c32696e49ee393be0fa0",
-     "3f214ad8774d1d3161cc191396c1d35f2a6e1631872f96a74c2235b039b737dd"),
+     "3c6c192ece5c88a1861b18f95ecbb4f0916bb997875ff5d068c9c5993249edc0",
+     "e403a9c550aa513dc5b8ba51b2570cdf13e5a31714d03ddd567f1095093b0258"),
     ("converge --alpha 0.3 --F 0.1*cyl:a+0.2*cyl:a-0.3*cyl:aa --E cyl:ab --tol 1e-3 "
      "--max-depth 9", 3,
      "cd65cf3abc6bd07704b8f049291dc47930bac6d2963130ae0421a9c1ee0e92e2",
-     "12e2ad86f3e14a223b4919e8878745c4fa747af8bb96dcaeed68b3b03d502f87",
-     "e67f7ece79c91d7f38fc136ff7282519c107fffed743aa51a01c17c898ac03cb"),
+     "e7542106b30042882f5f49183cfcfbcf1c985ed233e159f4fbb3976d94cd5378",
+     "93b73a4fcfef3b715f5b7fd048af6792509981284a7df0d5fa09ced6fe5c7d56"),
     ("measure --alpha 0.3 --F cyl:a+2*cyl:bab-1e-3*v0 --partition-depth 3 --max-depth 10", 3,
-     "6240f7f9fc0569a1ff8ccd4ff7d8d65be83692cb27a5ea1b385d288768123d88",
-     "d377c006819ba17ed82e48c21e4710d7c7609ecc3e78b083038afe1cca7751b4"),
+     "f17aaff272e1fe38da6a9c2eb20603de368fa7267a0fb312bc2c740a8e27264b",
+     "ac13e5d10d12dbc1f4f39f8236df7230899d530701afeab7600fc38deaeef84b"),
     ("measure --alpha 0.6 --F cyl:aab+cyl:aba+cyl:abb-0.5*cantor --partition-depth 2 "
      "--max-depth 9", 3,
-     "fb0a63d934f665d0945b02f1d0dffb09ca33d5d0777c522e2ed7b7a40632cb30",
-     "12e4a428064855c6898c5b0b4c68aa982b0a86320cc9e22f8917e0e712e718ae"),
+     "2e4576ea7c134f6aa4f04020308cd738fedde3d5bf20b1cd644ccdd0acedc527",
+     "cd146f0307205af8cdaadcc6e2a73d696f9180ed1d1fdf61c8f6a484808d96f8"),
     ("measure --alpha 0.35 --kappa2 0,2 --F 0.3*all-0.3*cyl:ba+cyl:bba --partition-depth 4 "
      "--max-depth 9", 3,
      "8120f033319aa02c3b2d66f893f93f441e5c1fecfa5d045f39ea2461acd1eabf",
-     "26886fb58e35c9486c3c7a553b5085d21d275a54a533db4de8b83d0a85c13de1"),
+     "43d6759442499624d99f7a2ea1fe38d618adfa69a460361d9a1b39e04adcc675"),
 ]
 
 

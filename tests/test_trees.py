@@ -551,9 +551,7 @@ class TestCellFluxes:
            potential=st.sampled_from(["none", "above top", "below top"]))
     @example(data=None, alpha=0.3, seed=0, potential="none")
     @settings(max_examples=150, deadline=None)
-    def test_matches_table_sweep_bit_for_bit(self, data, alpha, seed, potential):
-        from oracles import table_cell_fluxes
-
+    def test_matches_table_sweep(self, data, alpha, seed, potential):
         if data is None:  # the exhaustion of cyl:a through cyl:b to depth 16
             top, depths, kappa2 = 1, list(range(2, 17)), ()
             values, root = np.array([1.0, 0.0]), 0.0
@@ -579,12 +577,66 @@ class TestCellFluxes:
             values = np.random.default_rng(seed).choice(distinct, 2**given)
             root = data.draw(st.floats(-4.0, 4.0), "root")
         family = AlphaBetaSpec(alpha=alpha, depth=2, kappa2_per_level=kappa2)
-        ours = trees.cell_fluxes(family, values, root, depths, top)
-        reference = table_cell_fluxes(family, values, root, depths, top)
-        # Compared as bit patterns, so that signs of zero count.
-        for x, y in zip(ours, reference):
-            assert x.shape == y.shape
-            assert np.array_equal(x.view(np.int64), y.view(np.int64))
+        _check_against_table_sweep(family, values, root, depths, top)
+
+    # The seams of the table's seed level max(top, P), P the deepest level
+    # with a potential: rows at or above P enter as leaves, deeper ones at
+    # level P + 1 from the admittance recurrence.
+    @pytest.mark.parametrize(
+        "alpha, root_length, kappa2, values, root, depths, top",
+        [
+            (0.3, 1.0, (4.0,), [1.0, -0.5], 0.25, [7, 4, 4, 5], 3),  # P < top
+            (0.3, 1.0, (0.0, 4.0), [1.0, 0.0], -0.5, [3, 9, 3], 2),  # P = top
+            (0.3, 1.0, (0.0, 0.0, 4.0), [1.0, 0.0], 0.0, [10, 3, 4], 2),  # P = top + 1
+            # P > top + 1, with rows above, at and below P.
+            (0.45, 1.0, (4.0, 0.0, 2.5e5, 0.0, 4.0), [2.0, -1.0, 0.5, 0.0], 1.0,
+             [5, 3, 8, 3, 5, 4], 2),
+            (0.7, 0.7, (0.0, 1e-14, 4.0, 0.0, 0.0, 4.0), [1.0, 3.0], -2.0,
+             [6, 6, 12, 2], 1),
+            (0.3, 3.5, (), [1.0, -1.0, 0.5, 0.25], 0.5, [12, 3, 5], 2),
+            (0.05, 1.0, (), [1.0, 0.0], -0.5, [9, 2, 16], 1),
+            (0.95, 1.0, (4.0, 0.0, 4.0), [1.0, 0.0, -1.0, 2.0], 0.5, [4, 14, 7], 2),
+            (0.3, 1.0, (), [-0.0, -0.0], -0.0, [2, 5], 1),
+            (0.3, 1.0, (0.0, 4.0, 4.0), [-0.0, 1.0], -0.0, [3, 6], 1),
+        ],
+    )
+    def test_seams_match_table_sweep(self, alpha, root_length, kappa2, values, root,
+                                     depths, top):
+        family = AlphaBetaSpec(alpha=alpha, depth=2, root_length=root_length,
+                               kappa2_per_level=kappa2)
+        _check_against_table_sweep(family, np.array(values), root, depths, top)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.25, 0.3, 0.45, 0.95])
+    def test_admittances_tend_to_the_stretched_leaf_closure(self, alpha):
+        # y(m) - (1 - ab) starts at ab and shrinks by at most ab per level,
+        # to the fixed point's rounding.
+        ab = alpha * (1.0 - alpha)
+        y = np.array(trees._admittances(alpha, 1.0 - alpha, 80))
+        assert y[0] == 1.0
+        m = np.arange(1, len(y) + 1)
+        assert np.all(np.abs(y - (1.0 - ab)) <= ab**m + 2 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.3, 0.45])
+    @pytest.mark.parametrize("root_length", [1.0, 0.7])
+    @pytest.mark.parametrize("top", [1, 2, 3])
+    def test_limits_tend_to_resistance_oracle(self, alpha, root_length, top):
+        # Below the cells the truncations' subtrees draw y(n - top) where the
+        # infinite tree's draw 1 - ab: every depth is within about
+        # (ab)**(n - top) of resistance_flux, down to rounding.
+        from oracles import resistance_flux
+
+        rng = np.random.default_rng(top)
+        values, root = rng.uniform(-2.0, 2.0, 2**top), float(rng.uniform(-2.0, 2.0))
+        cells = ["".join("ab"[int(b)] for b in format(i, f"0{top}b"))
+                 for i in range(2**top)]
+        exact = resistance_flux(alpha, dict(zip(cells, values)), root, root_length)
+        exact = np.array([exact[c] for c in cells] + [exact["v0"]])
+        family = AlphaBetaSpec(alpha=alpha, depth=2, root_length=root_length)
+        depths = np.arange(top + 1, trees.MAX_SWEEP_EDGES.bit_length() + 1)
+        rows, roots = trees.cell_fluxes(family, values, root, depths, top)
+        errors = np.abs(np.column_stack((rows, roots)) - exact).max(axis=1)
+        ab = alpha * (1.0 - alpha)
+        assert np.all(errors <= (2 * ab ** (depths - top) + 1e-13) * np.abs(exact).max())
 
     # A cell's flux carries the rounding of the value above its top edge
     # times the subtree's admittance, about 1 / (top-edge length): reading
@@ -634,3 +686,28 @@ class TestCellFluxes:
         too_deep = trees.MAX_SWEEP_EDGES.bit_length() + 1
         with pytest.raises(ValidationError, match=str(trees.MAX_SWEEP_EDGES)):
             trees.cell_fluxes(family, [1.0, 0.0], 0.0, [too_deep], 1)
+
+
+def _check_against_table_sweep(family, values, root, depths, top):
+    """cell_fluxes against the frozen table sweep, `table_cell_fluxes`.
+
+    Both read a cell's flux from the value above its top edge, whose
+    rounding the subtree's admittance carries out; it is below that edge's
+    block diagonal ``d``, so each flux is held within 16 eps of its value
+    plus ``d`` times the largest datum, and of an underflow term for data
+    near the smallest normal number.
+    """
+    from oracles import table_cell_fluxes
+
+    ours, ours_root = trees.cell_fluxes(family, values, root, depths, top)
+    reference, reference_root = table_cell_fluxes(family, values, root, depths, top)
+    assert ours.shape == reference.shape and ours_root.shape == reference_root.shape
+    assert ours.flags.c_contiguous
+    spec = replace(family, depth=top + 1)
+    diag, _ = edge_dn_blocks(level_lengths(spec)[top], spec.kappa2_at_level(top + 1))
+    d0, _ = edge_dn_blocks(spec.root_length, spec.kappa2_at_level(1))
+    scale = max(np.abs(values).max(), abs(root))
+    eps, n_max = np.finfo(float).eps, max(depths)
+    for x, y, d in ((ours, reference, diag), (ours_root, reference_root, d0)):
+        bound = 16 * eps * (np.abs(y) + d * scale) + n_max * 2.0**-1074 * d
+        assert np.all(np.abs(x - y) <= bound)
