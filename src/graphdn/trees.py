@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -57,10 +57,11 @@ _MIN_EDGE_LENGTH = 1e-300
 # and 227 MB at depth 22 (about 57 B per edge).
 # MAX_SWEEP_EDGES bounds the truncation depth n of level_sweep and
 # cell_fluxes, and so the depth M < n of the cells read.  cell_fluxes
-# builds class lengths and edge blocks only for the levels 1 .. max(M, P)
-# + 1, P the deepest level with a potential (k classes at level k, 300 in
-# all were P at depth 24); its table, one row per depth, is swept in place
-# over the levels M + 1 .. P and takes every deeper subtree from one
+# builds class lengths only for the levels 1 .. max(M, P) + 1, P the
+# deepest level with a potential (k classes at level k, 300 in all were P
+# at depth 24), and edge blocks only for the levels 1 .. P: every deeper
+# edge is a conductance 1 / l.  Its table, one row per depth, is swept in
+# place over the levels M + 1 .. P and takes every deeper subtree from one
 # admittance recurrence.  It sweeps only the 2**M cells read, so at most
 # 2**(n - 1) cell entries: 0.01 MB (traced) for exhaustion through shallow
 # cells at depth 24, and 0.27 GB (34 B per entry) through a depth-23 cell.
@@ -125,19 +126,25 @@ class AlphaBetaSpec:
         )
 
 
-def _check_depth(spec: AlphaBetaSpec, max_edges: int, what: str) -> None:
+def _check_depth(
+    family: AlphaBetaSpec, depth: int, max_edges: int, what: str
+) -> None:
+    """Refuse a depth-``depth`` truncation of the family as a spec of that
+    depth would, or as the ``max_edges`` ceiling and the shortest edge do."""
+    if depth < 1:
+        raise ValidationError(f"depth must be at least 1, got {depth}")
     # A depth-n truncation has 2**n - 1 edges; compare depths, so that a
     # huge depth is refused without computing its edge count.
     largest = (max_edges + 1).bit_length() - 1
-    if spec.depth > largest:
+    if depth > largest:
         raise ValidationError(
-            f"depth {spec.depth} exceeds the {what} limit of {max_edges} edges "
+            f"depth {depth} exceeds the {what} limit of {max_edges} edges "
             f"(largest depth {largest})"
         )
-    shortest = spec.root_length * min(spec.alpha, spec.beta) ** (spec.depth - 1)
+    shortest = family.root_length * min(family.alpha, family.beta) ** (depth - 1)
     if shortest < _MIN_EDGE_LENGTH:
         raise ValidationError(
-            f"depth {spec.depth} underflows the shortest edge length "
+            f"depth {depth} underflows the shortest edge length "
             f"({shortest:.3e} < {_MIN_EDGE_LENGTH:.0e})"
         )
 
@@ -165,25 +172,35 @@ def class_lengths(spec: AlphaBetaSpec) -> list[np.ndarray]:
     ``root_length * alpha**(k - 1 - i) * beta**i``, so the edges of a class,
     and the subtrees below them, are equal.  Each length is that product of
     the three floats, exact as a ratio of integers and rounded once (within
-    half an ulp).  Refuses depths beyond ``MAX_SWEEP_EDGES``.
+    half an ulp).  The entries are read-only views of one array.  Refuses
+    depths beyond ``MAX_SWEEP_EDGES``.
     """
-    _check_depth(spec, MAX_SWEEP_EDGES, "level-array")
+    _check_depth(spec, spec.depth, MAX_SWEEP_EDGES, "level-array")
+    flat = _class_lengths(spec, spec.depth)
+    flat.flags.writeable = False
+    return [flat[k * (k - 1) // 2:k * (k + 1) // 2] for k in range(1, spec.depth + 1)]
+
+
+def _class_lengths(family: AlphaBetaSpec, depth: int) -> np.ndarray:
+    """:func:`class_lengths` of levels ``1 .. depth`` as one flat array, level
+    ``k``'s classes at ``[k (k - 1) / 2, k (k + 1) / 2)``; the depth is
+    not checked."""
     # Each product is an exact Python int over 2**e, held as (int, e):
     # float(n) rounds once and ldexp scales the normal lengths _check_depth
     # admits exactly; from 1000 bits, where float(n) nears overflow, the int
     # true division rounds once instead.
-    (an, ad), (bn, bd) = spec.alpha.as_integer_ratio(), spec.beta.as_integer_ratio()
+    (an, ad), (bn, bd) = family.alpha.as_integer_ratio(), family.beta.as_integer_ratio()
     ea, eb = ad.bit_length() - 1, bd.bit_length() - 1
-    rn, rd = spec.root_length.as_integer_ratio()
-    ratios, levels = [(rn, rd.bit_length() - 1)], []
-    for _ in range(spec.depth):
-        levels.append(np.array([math.ldexp(float(n), -e) if n.bit_length() < 1000
-                                else n / (1 << e) for n, e in ratios]))
+    rn, rd = family.root_length.as_integer_ratio()
+    ratios, lengths = [(rn, rd.bit_length() - 1)], []
+    for _ in range(depth):
+        lengths += [math.ldexp(float(n), -e) if n.bit_length() < 1000
+                    else n / (1 << e) for n, e in ratios]
         # Class i one level down: an a-step from class i, or for the last
         # class a b-step from the class above it.
         last_n, last_e = ratios[-1]
         ratios = [(n * an, e + ea) for n, e in ratios] + [(last_n * bn, last_e + eb)]
-    return levels
+    return np.array(lengths)
 
 
 def _b_counts(depth: int) -> list[np.ndarray]:
@@ -214,7 +231,7 @@ def generate_ab_tree(spec: AlphaBetaSpec) -> MetricGraph:
     address code.  The boundary is the root vertex plus the deepest
     generation.  Refuses depths beyond ``MAX_GRAPH_EDGES``.
     """
-    _check_depth(spec, MAX_GRAPH_EDGES, "metric-graph")
+    _check_depth(spec, spec.depth, MAX_GRAPH_EDGES, "metric-graph")
     # Edge i enters vertex i + 1 from its parent; level k holds 2**(k - 1)
     # edges, whose weight is the Python float weight_ratio**k.
     heads = np.arange(1, 2**spec.depth, dtype=np.intp)
@@ -256,11 +273,10 @@ class LevelSolution:
 def _check_finite(values: np.ndarray, root_value: float, what: str) -> None:
     if not math.isfinite(root_value):
         raise ValidationError(f"non-finite boundary value {root_value} at the root")
-    bad = np.flatnonzero(~np.isfinite(values))
-    if len(bad):
-        raise ValidationError(
-            f"non-finite boundary value {values[bad[0]]} at {what} {bad[0]}"
-        )
+    if np.isfinite(values).all():
+        return
+    bad = np.flatnonzero(~np.isfinite(values))[0]
+    raise ValidationError(f"non-finite boundary value {values[bad]} at {what} {bad}")
 
 
 def _eliminate(d, o, kappa2, y_v, j_v):
@@ -269,10 +285,14 @@ def _eliminate(d, o, kappa2, y_v, j_v):
     ``Y_v u_v + J_v`` is what the subtrees below the lower vertex draw at
     it; the edge together with them then draws ``Y u + J`` at its upper
     vertex ``u``.  Returns the pivot ``d + Y_v`` and ``(Y, J)``, using
-    ``d**2 - o**2 = kappa2`` to avoid cancellation.
+    ``d**2 - o**2 = kappa2`` to avoid cancellation; kappa2 is added only
+    where it is not 0, as adding 0 to a positive ``d Y_v`` changes nothing.
     """
-    pivot = d + y_v
-    return pivot, (kappa2 + d * y_v) / pivot, -o * j_v / pivot
+    pivot, y = d + y_v, d * y_v
+    if kappa2:
+        y += kappa2
+    y /= pivot  # in place: no second level-wide array is held
+    return pivot, y, -o * j_v / pivot
 
 
 def _reduce(block, kappa2, y, j, root_value):
@@ -383,28 +403,29 @@ def _subtree_table(d, o, w, kappa2, tail, data, depths, top):
     is not 0, as adding 0 to a positive Y changes nothing.
     """
     seed, v = len(kappa2), len(data)
-    # Deepest first, so that the rows in the sweep are always the first m:
-    # those deeper than the seed level from the start, then each shallower
-    # one from its own level.  The depths are few: Python orders them.
     depths = depths.tolist()
-    order = sorted(range(len(depths)), key=lambda i: -depths[i])
-    deep = sorted(depths, reverse=True)
-    m = sum(n > seed for n in deep)
+    if seed > top:
+        # Deepest first, so that the rows in the sweep are always the first
+        # m: those deeper than the seed level from the start, then each
+        # shallower one from its own level.  The depths are few: Python
+        # orders them.
+        order = sorted(range(len(depths)), key=lambda i: -depths[i])
+        depths = sorted(depths, reverse=True)
+    m = sum(n > seed for n in depths)
     table = np.zeros((2 + 2 * v, len(depths), seed + 1))
     if m:
         y, lengths = tail
-        table[0, :m] = np.divide.outer([y[n - seed - 1] for n in deep[:m]], lengths)
+        table[0, :m] = np.divide.outer([y[n - seed - 1] for n in depths[:m]], lengths)
         np.multiply(table[0, :m], -data[:, None, None], out=table[1:1 + v, :m])
-    inverse = sorted(range(len(order)), key=order.__getitem__)
-    if seed == top:  # no level to sweep
-        return table[:, inverse, :top + 1]
+    if seed == top:  # no level to sweep: every row is deeper, in the given order
+        return table
     first = top * (top + 1) // 2  # level top + 1's first class
     d, o, w = d[first:], o[first:], w[first:]
     leaves = np.concatenate(([d], o * data[:, None], [w], w * data[:, None]))
     coefficients = np.empty((1 + v, len(d)))
     coefficients[0], coefficients[1:] = d, -o
     rows = [0] * (seed + 1)
-    for n in deep[m:]:
+    for n in depths[m:]:
         rows[n] += 1
     for k in range(seed, top, -1):
         s = slice(k * (k - 1) // 2 - first, k * (k + 1) // 2 - first)
@@ -422,6 +443,7 @@ def _subtree_table(d, o, w, kappa2, tail, data, depths, top):
             y_j /= pivot
         table[:, m:m + rows[k], :k] = leaves[:, None, s]
         m += rows[k]
+    inverse = sorted(range(len(order)), key=order.__getitem__)
     return table[:, inverse, :top + 1]
 
 
@@ -457,9 +479,13 @@ def cell_fluxes(
     :func:`level_sweep` over the potential levels ``M + 1 .. P`` only,
     none when ``P <= M``; shallower rows enter as leaves at their own
     level.  A sweep carries ``J`` and ``B c`` per distinct data value;
-    without one they are ``-Y c`` and 0, read cell by cell.  Only levels
-    ``1 .. S + 1`` have their class lengths and edge blocks built, and
-    only the top ``M`` levels are swept edge by edge.  By current balance
+    without one they are ``-Y c`` and 0, read cell by cell, and the table
+    is written in the order of ``depths`` with no sort.  Only levels
+    ``1 .. S + 1`` have their class lengths built, as one array, and only
+    levels ``1 .. P`` their edge blocks: a potential-free edge's block is
+    the conductance ``(1 / l, -1 / l)``, which
+    :func:`graphdn.edge.edge_dn_blocks` returns bit for bit at ``z = 0``.
+    Only the top ``M`` levels are swept edge by edge.  By current balance
     a cell's flux is ``A u + B c - (Y u + J)`` on its top edge, which the
     symmetry of the subtree's two-terminal map turns into the
     cancellation-free ``T u + (B c - J)``; no leaf flux is summed.
@@ -468,7 +494,7 @@ def cell_fluxes(
     if not len(depths):
         raise DomainError("no truncation depths given")
     n_max = int(depths.max())
-    _check_depth(replace(family, depth=n_max), MAX_SWEEP_EDGES, "level-array")
+    _check_depth(family, n_max, MAX_SWEEP_EDGES, "level-array")
     cell_values = np.asarray(cell_values, dtype=float)
     given = len(cell_values).bit_length() - 1
     if len(cell_values) != 1 << given:
@@ -483,21 +509,30 @@ def cell_fluxes(
             f"depth {depths.min()} does not resolve the depth-{top} cells"
         )
     _check_finite(cell_values, root_value, "cell")
-    kappa2 = [family.kappa2_at_level(k + 1) for k in range(n_max)]
+    kappa2 = family.kappa2_per_level[:n_max]
     deepest = max((k + 1 for k, q in enumerate(kappa2) if q), default=0)
     seed = max(top, deepest)
+    sweep = deepest > top
 
     # Level k's classes sit at flat[k (k - 1) / 2 : k (k + 1) / 2], for the
     # levels down to seed + 1 that the table and the top sweep read; every
     # edge of levels 1 .. top + 1 (the last are the cells' top edges) reads
-    # its class by its b-count.
-    levels = class_lengths(replace(family, depth=min(n_max, seed + 1)))
-    flat = np.concatenate(levels)
-    potentials = np.repeat(kappa2[:len(levels)], range(1, len(levels) + 1))
-    d, o = edge_dn_blocks(flat, potentials)
-    # Potential integrals w are 0 below the deepest level with a potential.
-    sweep = deepest > top
-    w = edge_potential_weights(flat, potentials) if sweep else np.zeros(len(flat))
+    # its class by its b-count.  Below level P = deepest every edge is a
+    # conductance, (1 / l, -1 / l): edge_dn_blocks' own values at z = 0,
+    # bit for bit, and holds no potential integral.  Only levels 1 .. P
+    # take the closed forms, the integrals only for a sweep; a zero or -0.0
+    # potential among them gets edge_potential_weights' signed zero.
+    levels = min(n_max, seed + 1)
+    kappa2 += (0.0,) * (levels - len(kappa2))
+    flat = _class_lengths(family, levels)
+    d = 1.0 / flat
+    o, w = -d, np.zeros(len(flat))
+    if deepest:
+        hot = slice(deepest * (deepest + 1) // 2)
+        potentials = np.repeat(kappa2[:deepest], range(1, deepest + 1))
+        d[hot], o[hot] = edge_dn_blocks(flat[hot], potentials)
+        if sweep:
+            w[hot] = edge_potential_weights(flat[hot], potentials)
     spans = [slice(k * (k - 1) // 2, k * (k + 1) // 2) for k in range(1, top + 1)]
     counts = _b_counts(top + 1)
 
@@ -512,7 +547,7 @@ def cell_fluxes(
     else:
         data, index = np.ones(1), np.zeros(1, dtype=np.intp)
     v = len(data)
-    tail = (_admittances(family.alpha, family.beta, n_max - seed), levels[-1])
+    tail = (_admittances(family.alpha, family.beta, n_max - seed), flat[-levels:])
     table = _subtree_table(d, o, w, kappa2[:seed], tail, data, depths, top)
 
     # Each cell reads its class's Y and T, and J and B c at its data value:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphdn.edge import (
@@ -66,6 +66,19 @@ class TestBlock:
             edge_dn_block(0.0, 1.0)
         with pytest.raises(DomainError):
             edge_dn_block(1.0, -1.0)
+
+    @given(st.lists(st.floats(min_value=1e-300, max_value=1e300), min_size=1,
+                    max_size=40))
+    @example([1e-300, 1e300, 1.0, 0.3, 3.5e-11])
+    @settings(max_examples=300, deadline=None)
+    def test_zero_potential_is_the_conductance_bit_for_bit(self, lengths):
+        # The series branch's numerators are exactly 1.0 at z = 0, so the
+        # block is (1 / l, -(1 / l)); trees.cell_fluxes builds
+        # potential-free blocks so.
+        lengths = np.array(lengths)
+        diag, off = edge_dn_blocks(lengths, 0.0)
+        assert diag.tobytes() == (1.0 / lengths).tobytes()
+        assert off.tobytes() == (-(1.0 / lengths)).tobytes()
 
     @given(
         st.floats(min_value=1e-4, max_value=10.0),

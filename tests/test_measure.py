@@ -321,15 +321,32 @@ class TestMeasureTable:
     def test_depths_checked_before_cells_are_built(self, monkeypatch):
         # A partition too deep for n_max is refused before its 2**16 cells
         # are enumerated.
-        def refuse(family, spans, depth, include_root=False):
+        def refuse(family, k, depth):
             raise AssertionError(f"depth-{depth} cells enumerated")
 
-        monkeypatch.setattr(measure, "_of_cells", refuse)
+        monkeypatch.setattr(measure, "_cell", refuse)
         with pytest.raises(DomainError, match="below the starting depth 17"):
             measure_table(indicator(FAM3, "a"), partition_depth=16, tol=1e-6, n_max=12)
         with pytest.raises(DomainError, match="n_min 4 too shallow"):
             measure_table(indicator(FAM3, "a"), partition_depth=5, tol=1e-6, n_max=12,
                           n_min=4)
+
+    @pytest.mark.parametrize("partition_depth", range(1, 11))
+    def test_cells_are_their_cylinders(self, partition_depth):
+        # Each cell is built from its index, not parsed from its prefix.
+        table = measure_table(indicator(FAM3, "a"), partition_depth, tol=1e-6,
+                              n_max=partition_depth + 1)
+        *cells, root = table.cells
+        assert len(cells) == 2**partition_depth
+        assert root == ClopenSet.root_vertex(FAM3) and root.label() == "v0"
+        for k, cell in enumerate(cells):
+            bits = format(k, f"0{partition_depth}b")
+            expected = ClopenSet.cylinder(FAM3, bits.translate(str.maketrans("01", "ab")))
+            assert cell == expected and hash(cell) == hash(expected)
+            assert (cell.prefixes, cell.spans, cell.cell_depth, cell.include_root,
+                    cell.label()) == (expected.prefixes, expected.spans,
+                                      expected.cell_depth, expected.include_root,
+                                      expected.label())
 
     def test_zero_function_gives_zero_cells(self):
         f = SimpleBoundaryFunction.indicator(ClopenSet.whole_boundary(FAM5))

@@ -598,6 +598,17 @@ class TestCellFluxes:
             (0.95, 1.0, (4.0, 0.0, 4.0), [1.0, 0.0, -1.0, 2.0], 0.5, [4, 14, 7], 2),
             (0.3, 1.0, (), [-0.0, -0.0], -0.0, [2, 5], 1),
             (0.3, 1.0, (0.0, 4.0, 4.0), [-0.0, 1.0], -0.0, [3, 6], 1),
+            # Zero levels between and above potential levels take the
+            # conductance block; the cells lie above and below P.
+            (0.3, 0.7, (0.0, 4.0, 0.0, 1.0), [1.0, -0.5, 0.0, 2.0], 0.25,
+             [8, 4, 3, 7, 3], 2),
+            (0.3, 0.7, (0.0, 4.0, 0.0, 1.0), [1.0, -0.5], 0.25, [9, 6, 5], 4),
+            (0.3, 0.7, (0.0, 4.0, 0.0, 1.0), [2.0, 0.0], -1.0, [7, 12], 6),
+            (0.3, 1.0, (4.0,), [1.0], -0.5, [6, 1, 3, 1], 0),
+            (0.3, 1.0, (4.0,), [1.0, 0.0, -1.0, 2.0], -0.5, [7, 3, 5], 2),
+            (0.45, 1.0, (0.0, 0.0, 0.0, 0.0, 2.0), [1.0, 0.0, -1.0, 2.0], 0.5,
+             [9, 3, 5, 6, 3], 2),
+            (0.45, 1.0, (0.0, 0.0, 0.0, 0.0, 2.0), [2.0, -1.0], 0.5, [8, 7, 11], 6),
         ],
     )
     def test_seams_match_table_sweep(self, alpha, root_length, kappa2, values, root,
