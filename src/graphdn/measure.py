@@ -9,10 +9,13 @@ functional is approximated by exhaustion: solve the Dirichlet problem on
 the depth-n truncation with boundary data read off from F, sum the outward
 boundary derivatives over the vertices whose cells lie in E, and track the
 sequence over n.  Convergence of the sequence is reported as data, never
-raised.  Every truncation depth of one call is solved at once by
-:func:`graphdn.trees.cell_fluxes`, which reads the flux through each cell
-fine enough for F and E from that cell's top edge; no truncation is built
-as a metric graph and no leaf is visited.
+raised.  Every truncation depth of one call is solved at once by the
+exhaustion kernel of :mod:`graphdn.trees`, with no truncation built as a
+metric graph and no leaf visited: :func:`dn_function` and
+:func:`dn_at_depth` read E per canonical prefix, from its ``mu`` share of
+F's coarse flux and, without a potential, F's Haar modes, so E's depth
+costs nothing; :func:`measure_table` and :func:`quadratic_form` read the
+cells of :func:`graphdn.trees.cell_fluxes`.
 
 A set is its spans: the sorted, merged ``[lo, hi)`` index intervals of its
 cells of depth d, the coarsest that holds every bound, built once from the
@@ -46,6 +49,7 @@ from .trees import (
     AlphaBetaSpec,
     _address_codes,
     _check_cell_depth,
+    _exhaustion,
     cell_fluxes,
     cylinder_slice,
 )
@@ -80,18 +84,22 @@ def _intervals(prefixes: Iterable[str], depth: int) -> list[list[int]]:
     return merged
 
 
-def _prefixes(intervals: Iterable[Sequence[int]], depth: int) -> tuple[str, ...]:
-    """The maximal cylinders inside the intervals, in address order."""
-    out = []
+def _blocks(intervals: Iterable[Sequence[int]], depth: int):
+    """The maximal cylinders inside the intervals, in address order, each as
+    ``(index, length)``: the cell ``index`` of depth ``length``."""
     for lo, hi in intervals:
         while lo < hi:
             # The largest block that starts aligned at lo and ends by hi.
             align = (lo & -lo or 1 << depth).bit_length()
             shift = min(align, (hi - lo).bit_length()) - 1
-            # Its address code: a marker bit, then the bits of lo above the shift.
-            out.append(address_of((lo >> shift) | (1 << (depth - shift))))
+            yield lo >> shift, depth - shift
             lo += 1 << shift
-    return tuple(out)
+
+
+def _prefixes(intervals: Iterable[Sequence[int]], depth: int) -> tuple[str, ...]:
+    """The maximal cylinders inside the intervals, in address order."""
+    # An address code is a marker bit, then one bit per symbol.
+    return tuple(address_of(i | 1 << n) for i, n in _blocks(intervals, depth))
 
 
 def _overlap(sets: Sequence["ClopenSet"]) -> bool:
@@ -229,10 +237,7 @@ class ClopenSet:
         or a level solution's ``leaf_flux``), and ``root`` the root flux.
         Refuses any other number of cells.
         """
-        return float(self._fluxes(np.asarray(cells), root))
-
-    def _fluxes(self, cells: np.ndarray, root):
-        """:meth:`flux` on the last axis: one sum per block across all rows."""
+        cells = np.asarray(cells)
         n = cells.shape[-1]
         if n & (n - 1) or n < 1 << self.cell_depth:
             raise DomainError(
@@ -240,11 +245,11 @@ class ClopenSet:
                 f"{self.cell_depth}, the set's cell depth"
             )
         depth = n.bit_length()
-        total = root if self.include_root else np.zeros_like(root)
+        total = root if self.include_root else 0.0
         # One sum per canonical block: a sum per span would round differently.
         for p in self.prefixes:
-            total = total + cells[..., cylinder_slice(p, depth)].sum(axis=-1)
-        return total
+            total = total + cells[cylinder_slice(p, depth)].sum()
+        return float(total)
 
     def label(self) -> str:
         parts = [f"@{p}" for p in self.prefixes]
@@ -413,9 +418,47 @@ def _cell_fluxes(
             f.family, f.cell_values(), f.root_value(), depths,
             max(f.cell_depth, cell_depth),
         )
-    if not (np.isfinite(cells).all() and np.isfinite(root).all()):
-        raise DomainError("a cell flux overflows the float range")
+    _check_range(cells, root)
     return cells, root
+
+
+def _check_range(*fluxes) -> None:
+    if not all(np.isfinite(x).all() for x in fluxes):
+        raise DomainError("a cell flux overflows the float range")
+
+
+def _set_fluxes(f: SimpleBoundaryFunction, e: ClopenSet, depths) -> np.ndarray:
+    """E's flux in each depth's truncation of F, read per canonical prefix.
+
+    A prefix draws its ``mu`` share of its coarse cell's flux plus its Haar
+    terms, one ``lam @ coef`` product, or the coarse cells it holds.
+    Refuses a kernel value out of range, with no floating-point warnings.
+    """
+    alpha, beta = f.family.alpha, f.family.beta
+    with np.errstate(over="ignore", invalid="ignore"):
+        coarse, root, lam, details = _exhaustion(
+            f.family, f.cell_values(), f.root_value(), depths,
+            max(f.cell_depth, e.cell_depth), modes=True,
+        )
+        top = coarse.shape[1].bit_length() - 1
+        weights, coef = np.zeros(1 << top), [0.0] * len(details)
+        for i, length in _blocks(e.spans, e.cell_depth):
+            below = length - top
+            if below < 0:
+                weights[i << -below:i + 1 << -below] = 1.0
+                continue
+            # mu of w in its coarse cell, then in the whole Cantor part.
+            b = (i & (1 << below) - 1).bit_count()
+            weights[i >> below] += beta ** (below - b) * alpha**b
+            mass = beta ** (length - i.bit_count()) * alpha ** i.bit_count()
+            for k, delta in enumerate(details[:below]):
+                coef[k] += mass * delta[i >> below - k - 1]
+        # A non-finite coarse flux reaches the sum even at weight 0.
+        flux = coarse @ weights + lam @ coef
+        if e.include_root:
+            flux += root
+    _check_range(flux, root, *details)
+    return flux
 
 
 def dn_at_depth(f: SimpleBoundaryFunction, e: ClopenSet, depth: int) -> float:
@@ -426,8 +469,7 @@ def dn_at_depth(f: SimpleBoundaryFunction, e: ClopenSet, depth: int) -> float:
         raise DomainError(
             f"depth {depth} too shallow; these sets need depth >= {needed}"
         )
-    (cells,), (root,) = _cell_fluxes(f, [depth], e.cell_depth)
-    return e.flux(cells, root)
+    return float(_set_fluxes(f, e, [depth])[0])
 
 
 @dataclass(frozen=True)
@@ -450,28 +492,25 @@ class ConvergenceReport:
     ratio: float | None
 
 
-def _reports(depths, table: np.ndarray, tol) -> list[ConvergenceReport]:
-    """One report per column of a depths x columns table of values."""
-    residuals = np.abs(table[1:] - table[:-1])
-    tail = residuals[-CONSECUTIVE_BELOW_TOL:]
-    converged = (tail <= tol).all(axis=0) & (len(tail) >= CONSECUTIVE_BELOW_TOL)
-    # The ratio needs three values and d0 != 0, the extrapolation |ratio| < 1.
-    ratio = extrapolated = [None] * table.shape[1]
-    if len(table) >= 3:
-        d1, d0 = table[-1] - table[-2], table[-2] - table[-3]
-        with np.errstate(all="ignore"):
-            r = d1 / d0
-            x = table[-1] + d1 * r / (1.0 - r)
-        has_ratio, inside = (d0 != 0.0).tolist(), (np.abs(r) < 1.0).tolist()
-        ratio = [a if b else None for a, b in zip(r.tolist(), has_ratio)]
-        extrapolated = [a if b and c else None
-                        for a, b, c in zip(x.tolist(), has_ratio, inside)]
-    depths = tuple(depths)
-    return [
-        ConvergenceReport(depths, tuple(values), tuple(res), tol, ok, values[-1], x, r)
-        for values, res, ok, x, r in zip(table.T.tolist(), residuals.T.tolist(),
-                                         converged.tolist(), extrapolated, ratio)
-    ]
+def _reports(depths, columns, tol) -> list[ConvergenceReport]:
+    """One report per column of values, each read in one pass of Python
+    floats."""
+    depths, reports = tuple(depths), []
+    for values in columns:
+        residuals = tuple(abs(b - a) for a, b in zip(values, values[1:]))
+        tail = residuals[-CONSECUTIVE_BELOW_TOL:]
+        converged = len(tail) >= CONSECUTIVE_BELOW_TOL and all(r <= tol for r in tail)
+        # The ratio needs three values and d0 != 0, the extrapolation |ratio| < 1.
+        ratio = extrapolated = None
+        if len(values) >= 3:
+            d1, d0 = values[-1] - values[-2], values[-2] - values[-3]
+            if d0 != 0.0:
+                ratio = d1 / d0
+                if abs(ratio) < 1.0:
+                    extrapolated = values[-1] + d1 * ratio / (1.0 - ratio)
+        reports.append(ConvergenceReport(depths, tuple(values), residuals, tol,
+                                         converged, values[-1], extrapolated, ratio))
+    return reports
 
 
 def _check_tolerance(tol: float) -> None:
@@ -511,8 +550,7 @@ def dn_function(
     _check_same_family(f.family, e.family)
     lowest = max(f.min_truncation_depth, e.min_truncation_depth)
     depths = _depth_range(lowest, n_min, n_max)
-    cells, root = _cell_fluxes(f, depths, e.cell_depth)
-    return _reports(depths, e._fluxes(cells, root)[:, None], tol)[0]
+    return _reports(depths, [_set_fluxes(f, e, depths).tolist()], tol)[0]
 
 
 @dataclass(frozen=True)
@@ -573,7 +611,7 @@ def measure_table(
     whole = roots + rows.sum(axis=-1)
     additivity = np.abs(per_cell.sum(axis=1) - whole).max()
 
-    reports = tuple(_reports(depths, per_cell, tol))
+    reports = tuple(_reports(depths, per_cell.T.tolist(), tol))
     values = tuple(r.limit for r in reports)
     return MeasureTable(
         partition_depth=partition_depth,
@@ -581,9 +619,9 @@ def measure_table(
         reports=reports,
         values=values,
         additivity_residual=float(additivity),
-        positive_total=float(sum(v for v in values if v > 0.0)),
-        negative_total=float(sum(v for v in values if v < 0.0)),
-        signed_total=float(sum(values)),
+        positive_total=math.fsum(v for v in values if v > 0.0),
+        negative_total=math.fsum(v for v in values if v < 0.0),
+        signed_total=math.fsum(values),
         converged=all(r.converged for r in reports),
     )
 

@@ -55,18 +55,13 @@ _MIN_EDGE_LENGTH = 1e-300
 # edge: the table check's scratch arrays, over a 40 B per edge table and an
 # 8 B per vertex address-code column); a level sweep took 56 MB at depth 20
 # and 227 MB at depth 22 (about 57 B per edge).
-# MAX_SWEEP_EDGES bounds the truncation depth n of level_sweep and
-# cell_fluxes, and so the depth M < n of the cells read.  cell_fluxes
-# builds class lengths only for the levels 1 .. max(M, P) + 1, P the
-# deepest level with a potential (k classes at level k, 300 in all were P
-# at depth 24), and edge blocks only for the levels 1 .. P: every deeper
-# edge is a conductance 1 / l.  Its table, one row per depth, is swept in
-# place over the levels M + 1 .. P and takes every deeper subtree from one
-# admittance recurrence.  It sweeps only the 2**M cells read, so at most
-# 2**(n - 1) cell entries: 0.01 MB (traced) for exhaustion through shallow
-# cells at depth 24, and 0.27 GB (34 B per entry) through a depth-23 cell.
-# Each ceiling keeps one call under about 1 GB: depth 20 (0.2 GB
-# predicted) for the graph, depth 24 for the sweep.
+# MAX_SWEEP_EDGES bounds the truncation depth n of level_sweep and of
+# exhaustion, and so the depth M < n of the cells read.  Exhaustion sweeps
+# only its 2**C coarse cells and reads E per prefix: through a depth-23 cell
+# dn_function peaks at the interpreter's own 60 MB; cell_fluxes returns 8 B
+# per cell and depth.  Each
+# ceiling keeps one call under about 1 GB: depth 20 (0.2 GB predicted) for
+# the graph, depth 24 for the sweeps.
 MAX_GRAPH_EDGES = 2**20 - 1
 MAX_SWEEP_EDGES = 2**24 - 1
 
@@ -387,64 +382,161 @@ def _admittances(alpha: float, beta: float, count: int) -> list[float]:
     return y
 
 
-def _subtree_table(d, o, w, kappa2, tail, data, depths, top):
-    """:func:`cell_fluxes`' table of (Y, J per value, A, B c per value) x
-    depths x classes at level ``top + 1``, its rows in the order of ``depths``.
+def _coarse_fluxes(family, kappa2, deepest, depths, y, data, root_value, top):
+    """:func:`_exhaustion`'s ``(coarse, root)`` for the data on the
+    depth-``top`` cells, ``y`` the admittances below level ``max(top, P)``."""
+    n_max, seed = int(depths.max()), max(top, deepest)
+    # Class lengths for levels 1 .. seed + 1, level k's at flat[k (k - 1) / 2
+    # : k (k + 1) / 2]; an edge of levels 1 .. top + 1 reads its class by its
+    # b-count.  Below level P an edge is a conductance, (1 / l, -1 / l), as
+    # edge_dn_blocks gives bit for bit at z = 0.
+    levels = min(n_max, seed + 1)
+    kappa2 += (0.0,) * (levels - len(kappa2))
+    flat = _class_lengths(family, levels)
+    d = 1.0 / flat
+    o = -d
+    if deepest:
+        hot = slice(deepest * (deepest + 1) // 2)
+        potentials = np.repeat(kappa2[:deepest], range(1, deepest + 1))
+        d[hot], o[hot] = edge_dn_blocks(flat[hot], potentials)
 
-    ``kappa2`` lists the potentials of levels ``1 .. S``, where the seed
-    level ``S >= top`` is the last level that may have one.  The rows
-    deeper than ``S`` enter at level ``S + 1`` from ``tail = (y,
-    lengths)``, the scaled admittances of :func:`_admittances` and that
-    level's class lengths: such a subtree draws ``Y (u - c)``, so
-    ``J = -Y c``, and holds no potential integral.  The table is swept
-    over the levels ``top + 1 .. S`` only, deepest first: the rows whose
-    leaves lie at or below level k are the first m, and each shallower row
-    enters at its own level as a leaf.  kappa2 is added to Y only where it
-    is not 0, as adding 0 to a positive Y changes nothing.
-    """
-    seed, v = len(kappa2), len(data)
-    depths = depths.tolist()
+    # The subtree hanging from a class's edge draws Y u + T c and holds
+    # A u + B c under constant data c.  Every depth starts at level seed + 1
+    # from the admittance recurrence, T = -Y, A = B = 0; a shallower one
+    # holds these finite values until it enters as a leaf at its level.
+    t = np.divide.outer(y[np.maximum(depths - seed - 1, 0)], -flat[-levels:])
+    counts = _b_counts(top + 1)
+    cell = counts[top]
     if seed > top:
-        # Deepest first, so that the rows in the sweep are always the first
-        # m: those deeper than the seed level from the start, then each
-        # shallower one from its own level.  The depths are few: Python
-        # orders them.
-        order = sorted(range(len(depths)), key=lambda i: -depths[i])
-        depths = sorted(depths, reverse=True)
-    m = sum(n > seed for n in depths)
-    table = np.zeros((2 + 2 * v, len(depths), seed + 1))
-    if m:
-        y, lengths = tail
-        table[0, :m] = np.divide.outer([y[n - seed - 1] for n in depths[:m]], lengths)
-        np.multiply(table[0, :m], -data[:, None, None], out=table[1:1 + v, :m])
-    if seed == top:  # no level to sweep: every row is deeper, in the given order
-        return table
-    first = top * (top + 1) // 2  # level top + 1's first class
-    d, o, w = d[first:], o[first:], w[first:]
-    leaves = np.concatenate(([d], o * data[:, None], [w], w * data[:, None]))
-    coefficients = np.empty((1 + v, len(d)))
-    coefficients[0], coefficients[1:] = d, -o
-    rows = [0] * (seed + 1)
-    for n in depths[m:]:
-        rows[n] += 1
-    for k in range(seed, top, -1):
-        s = slice(k * (k - 1) // 2 - first, k * (k + 1) // 2 - first)
-        if m:
-            pairs = table[:, :m]
-            pairs[..., :k] += pairs[..., 1:k + 1]
-            y_j = table[:1 + v, :m, :k]
-            pivot = d[s] + y_j[0]
-            lift = (w[s] + table[1 + v, :m, :k]) / pivot
-            table[1 + v, :m, :k] = w[s] - o[s] * lift
-            table[2 + v:, :m, :k] -= table[1:1 + v, :m, :k] * lift
-            y_j *= coefficients[:, None, s]
-            if kappa2[k - 1]:
-                y_j[0] += kappa2[k - 1]
-            y_j /= pivot
-        table[:, m:m + rows[k], :k] = leaves[:, None, s]
-        m += rows[k]
-    inverse = sorted(range(len(order)), key=order.__getitem__)
-    return table[:, inverse, :top + 1]
+        # The table (Y, T, A, B) x depths x classes is swept in place over
+        # the potential levels top + 1 .. seed, and each coarse cell's J at
+        # its own datum beside it on its subtree's classes: the level sweep's
+        # own operations on the same operands.
+        w = np.zeros(len(flat))
+        w[hot] = edge_potential_weights(flat[hot], potentials)
+        table = np.zeros((4, len(depths), levels))
+        table[0], table[1] = -t, t
+        subtree = np.add.outer(cell, range(levels - top))
+        j = t[:, subtree] * data[:, None]
+        for k in range(levels, top, -1):
+            s, offsets = slice(k * (k - 1) // 2, k * (k + 1) // 2), subtree[:, :k - top]
+            if k < levels:
+                table[..., :k] += table[..., 1:k + 1]
+                y_v, t_v, a_v, b_v = table[..., :k]
+                pivot = d[s] + y_v
+                lift = (w[s] + a_v) / pivot
+                b_v -= t_v * lift
+                a_v[...] = w[s] - o[s] * lift
+                y_v *= d[s]
+                if kappa2[k - 1]:
+                    y_v += kappa2[k - 1]
+                y_v /= pivot
+                t_v *= -o[s]
+                t_v /= pivot
+                j[..., :k - top] += j[..., 1:k - top + 1]
+                j[..., :k - top] *= -o[s][offsets]
+                j[..., :k - top] /= pivot[:, offsets]
+            if k <= deepest:
+                entering = depths == k
+                table[:, entering, :k] = np.array((d[s], o[s], w[s], w[s]))[:, None]
+                j[entering, :, :k - top] = o[s][offsets] * data[:, None]
+        t, j = table[1][:, cell], j[..., 0]
+        y_c, b_j = table[0][:, cell], table[3][:, cell] * data - j
+    else:
+        t = t[:, cell]
+        y_c, j = -t, t * data
+        b_j = -j
+
+    # The top levels are swept edge by edge, each level's blocks gathered by
+    # b-count when the sweep reaches it.
+    spans = [slice(k * (k - 1) // 2, k * (k + 1) // 2) for k in range(1, top + 1)]
+
+    def block(k):
+        return d[spans[k]][counts[k]], o[spans[k]][counts[k]]
+
+    if top:
+        values, y_c, j = _reduce(block, kappa2[:top], y_c, j, root_value)
+        t *= np.repeat(values[-1], 2, axis=-1)
+    else:
+        t *= root_value
+    # A coarse cell's flux A u + B c - (Y u + J), by current balance, is
+    # T u + (B c - J) by the symmetry of the subtree's map; no leaf is summed.
+    coarse = t + b_j
+    return coarse, y_c[:, 0] * root_value + j[:, 0]
+
+
+def _exhaustion(family, cell_values, root_value, depths, cell_depth, modes):
+    """The exhaustion kernel: ``(coarse, root, lam, details)``.
+
+    With ``g`` the data's depth, ``M = cell_depth`` and ``P`` the deepest
+    level with a potential, ``coarse[i]`` and ``root[i]`` are the
+    depth-``depths[i]`` fluxes through the coarse cells, at depth
+    ``C = min(M, max(g, P - 1))``, and the root.  F is constant on the
+    coarse cells and no edge below them has a potential, so each one's
+    current splits among the cells below it by their ``mu`` share.
+
+    With ``modes`` and no potential, ``C = 0`` and F enters through its Haar
+    modes: a depth-``k`` vertex's Haar function, ``alpha`` on its a-subtree
+    and ``-beta`` on its b-subtree, is an eigenfunction of every truncation,
+    as the vertex stays at 0.  ``details[k]`` is ``Delta_k`` on the
+    depth-``k + 1`` vertices, ``alpha D`` on an a-child and ``-beta D`` on a
+    b-child with ``D`` the difference of the children's means, and
+    ``lam[i, k] = y(n - k - 1) / (root_length (alpha beta)**(k + 1))``.
+    Per cell the modes' terms can cancel far below their size, so cells are
+    read otherwise on F's own, where their rounding is the level sweep's.
+    """
+    depths = np.asarray(depths, dtype=int)
+    listed = depths.tolist()
+    if not listed:
+        raise DomainError("no truncation depths given")
+    n_max = max(listed)
+    _check_depth(family, n_max, MAX_SWEEP_EDGES, "level-array")
+    cell_values = np.asarray(cell_values, dtype=float)
+    given = len(cell_values).bit_length() - 1
+    if len(cell_values) != 1 << given:
+        raise ValidationError(
+            f"need one value per cell of a level, got {len(cell_values)}"
+        )
+    if cell_depth < given:
+        raise DomainError(f"depth-{cell_depth} cells are coarser than the data's")
+    if min(listed) <= cell_depth:
+        raise DomainError(
+            f"depth {min(listed)} does not resolve the depth-{cell_depth} cells"
+        )
+    _check_finite(cell_values, root_value, "cell")
+    alpha, beta = family.alpha, family.beta
+    kappa2 = family.kappa2_per_level[:n_max]
+    deepest = max((k + 1 for k, q in enumerate(kappa2) if q), default=0)
+    top = 0 if modes and not deepest else min(cell_depth, max(deepest - 1, given))
+    seed = max(top, deepest)
+
+    # The detail pyramid, finest first: E_k f(w) = beta E_(k+1) f(wa) +
+    # alpha E_(k+1) f(wb), down to the coarse data on the depth-top cells.
+    data, details = cell_values, []
+    while len(data) > 1 << top:
+        diff = data[0::2] - data[1::2]
+        details.append(np.multiply.outer(diff, (alpha, -beta)).ravel())
+        data = beta * data[0::2] + alpha * data[1::2]
+    details.reverse()
+    if len(data) < 1 << top:
+        data = np.repeat(data, (1 << top) // len(data))
+
+    y = np.array(_admittances(alpha, beta, n_max - seed))
+    if seed:
+        coarse, root = _coarse_fluxes(
+            family, kappa2, deepest, depths, y, data, root_value, top
+        )
+    else:
+        # No potential, and one coarse cell, the whole Cantor part: the tree
+        # draws y(n) / root_length (r - E_0 f) through its root edge.
+        root = y[depths - 1] / family.root_length * (root_value - data[0])
+        coarse = -root[:, None]
+
+    # Mode k's eigenvalue in the depth-n truncation, from the same y.
+    k = np.arange(top + 1, given + 1)
+    scale = [family.root_length * alpha**m * beta**m for m in k.tolist()]
+    lam = y[np.subtract.outer(depths - 1, k)] / scale
+    return coarse, root, lam, details
 
 
 def cell_fluxes(
@@ -463,119 +555,22 @@ def cell_fluxes(
     through each depth-``M`` cell (the sum of its leaves' outward
     derivatives) and ``root[i]`` its root flux.
 
-    Below level ``M`` every subtree has constant data ``c``, and its edges
-    follow from its top edge's class, the level and b-count that fix its
-    length in :func:`class_lengths`.  So subtrees are tabulated per level
-    and class (``k`` of them at level ``k``, against ``2**(k-1)`` edges),
-    and a class's children are its own and the next class one level down.
-    With ``u`` the value above its top edge, a subtree draws ``Y u + J``
-    through that edge, ``J = T c``, and holds the potential integral
-    ``A u + B c``.  With ``P`` the deepest level with a potential, every
-    subtree below level ``S = max(M, P)`` is a scaled copy of one
-    potential-free subtree, whose admittance one recurrence gives
-    (:func:`_admittances`): it draws ``Y (u - c)`` and holds no potential
-    integral.  One table, one row per depth, starts there at level
-    ``S + 1`` and is swept in place by the elimination step of
-    :func:`level_sweep` over the potential levels ``M + 1 .. P`` only,
-    none when ``P <= M``; shallower rows enter as leaves at their own
-    level.  A sweep carries ``J`` and ``B c`` per distinct data value;
-    without one they are ``-Y c`` and 0, read cell by cell, and the table
-    is written in the order of ``depths`` with no sort.  Only levels
-    ``1 .. S + 1`` have their class lengths built, as one array, and only
-    levels ``1 .. P`` their edge blocks: a potential-free edge's block is
-    the conductance ``(1 / l, -1 / l)``, which
-    :func:`graphdn.edge.edge_dn_blocks` returns bit for bit at ``z = 0``.
-    Only the top ``M`` levels are swept edge by edge.  By current balance
-    a cell's flux is ``A u + B c - (Y u + J)`` on its top edge, which the
-    symmetry of the subtree's two-terminal map turns into the
-    cancellation-free ``T u + (B c - J)``; no leaf flux is summed.
+    Each cell takes its share of its coarse cell's flux from
+    :func:`_exhaustion`: ``mu`` gives ``beta`` to an a-child and ``alpha``
+    to a b-child, so a cell ``i`` b-steps below has
+    ``beta**(steps - i) * alpha**i``.  Rows are C-contiguous: numpy's
+    summation order follows the memory layout, and callers sum over rows
+    and across cells.
     """
-    depths = np.asarray(depths, dtype=int)
-    if not len(depths):
-        raise DomainError("no truncation depths given")
-    n_max = int(depths.max())
-    _check_depth(family, n_max, MAX_SWEEP_EDGES, "level-array")
-    cell_values = np.asarray(cell_values, dtype=float)
-    given = len(cell_values).bit_length() - 1
-    if len(cell_values) != 1 << given:
-        raise ValidationError(
-            f"need one value per cell of a level, got {len(cell_values)}"
-        )
-    top = cell_depth
-    if top < given:
-        raise DomainError(f"depth-{top} cells are coarser than the data's")
-    if depths.min() <= top:
-        raise DomainError(
-            f"depth {depths.min()} does not resolve the depth-{top} cells"
-        )
-    _check_finite(cell_values, root_value, "cell")
-    kappa2 = family.kappa2_per_level[:n_max]
-    deepest = max((k + 1 for k, q in enumerate(kappa2) if q), default=0)
-    seed = max(top, deepest)
-    sweep = deepest > top
-
-    # Level k's classes sit at flat[k (k - 1) / 2 : k (k + 1) / 2], for the
-    # levels down to seed + 1 that the table and the top sweep read; every
-    # edge of levels 1 .. top + 1 (the last are the cells' top edges) reads
-    # its class by its b-count.  Below level P = deepest every edge is a
-    # conductance, (1 / l, -1 / l): edge_dn_blocks' own values at z = 0,
-    # bit for bit, and holds no potential integral.  Only levels 1 .. P
-    # take the closed forms, the integrals only for a sweep; a zero or -0.0
-    # potential among them gets edge_potential_weights' signed zero.
-    levels = min(n_max, seed + 1)
-    kappa2 += (0.0,) * (levels - len(kappa2))
-    flat = _class_lengths(family, levels)
-    d = 1.0 / flat
-    o, w = -d, np.zeros(len(flat))
-    if deepest:
-        hot = slice(deepest * (deepest + 1) // 2)
-        potentials = np.repeat(kappa2[:deepest], range(1, deepest + 1))
-        d[hot], o[hot] = edge_dn_blocks(flat[hot], potentials)
-        if sweep:
-            w[hot] = edge_potential_weights(flat[hot], potentials)
-    spans = [slice(k * (k - 1) // 2, k * (k + 1) // 2) for k in range(1, top + 1)]
-    counts = _b_counts(top + 1)
-
-    def block(k):
-        # Level k + 1's edge block, gathered when the sweep reaches it.
-        return d[spans[k]][counts[k]], o[spans[k]][counts[k]]
-
-    # A sweep carries J and B c per distinct data value; without one, only
-    # at c = 1 (T and B), read as that row times each cell's c.
-    if sweep:
-        data, index = np.unique(np.append(cell_values, 1.0), return_inverse=True)
-    else:
-        data, index = np.ones(1), np.zeros(1, dtype=np.intp)
-    v = len(data)
-    tail = (_admittances(family.alpha, family.beta, n_max - seed), flat[-levels:])
-    table = _subtree_table(d, o, w, kappa2[:seed], tail, data, depths, top)
-
-    # Each cell reads its class's Y and T, and J and B c at its data value:
-    # the cells below data cell g are a run of 2**(top - given), so the data
-    # index or value broadcasts over the run and no per-cell index is built.
-    cell = counts[top]
-    runs = cell.reshape(len(cell_values), -1)
-
-    def per_cell(by_value):
-        if sweep:
-            return by_value[index[:-1, None], :, runs].reshape(1 << top, -1).T
-        out = by_value[0][:, runs]
-        out *= cell_values[:, None]
-        return out.reshape(len(depths), -1)
-
-    # _reduce gets the only references to the per-cell Y and J, and frees
-    # them before it gathers the first block.
-    values, y_root, j_root = _reduce(
-        block, kappa2[:top], table[0][:, cell], per_cell(table[1:1 + v]), root_value
+    coarse, root, _, _ = _exhaustion(
+        family, cell_values, root_value, depths, cell_depth, modes=False
     )
-    # T u + (B c - J), in place, with u the value above each cell's top
-    # edge.  B c - J is subtracted per class before the gather.  `take`
-    # returns the rows contiguous: numpy's summation order follows the
-    # memory layout, and callers sum over rows and across cells.
-    cells = table[1 + index[-1]].take(cell, axis=1)
-    cells *= np.repeat(values[-1], (1 << top) // values[-1].shape[-1], axis=-1)
-    cells += per_cell(table[2 + v:] - table[1:1 + v])
-    return cells, y_root[:, 0] * root_value + j_root[:, 0]
+    top = coarse.shape[1].bit_length() - 1
+    steps, i = cell_depth - top, np.arange(cell_depth - top + 1)
+    share = (family.beta ** (steps - i) * family.alpha**i)[_b_counts(steps + 1)[steps]]
+    cells = np.repeat(coarse, 1 << steps, axis=1)
+    cells *= np.tile(share, 1 << top)
+    return cells, root
 
 
 def cylinder_slice(prefix: str, depth: int) -> slice:

@@ -5,8 +5,8 @@ solver path: finite differences for single-edge problems, dense numpy
 linear algebra for whole-graph problems, resistor-network algebra with the
 self-similar tail resistance for infinite-tree fluxes, and adaptive
 quadrature for integrals.  The one exception is ``table_cell_fluxes``, a
-frozen copy of an earlier exhaustion kernel that the current one must
-match bit for bit.
+frozen copy of an earlier exhaustion kernel that the current one is held
+to within rounding.
 """
 
 from __future__ import annotations

@@ -394,3 +394,55 @@ class TestInteriorSystem:
         a = solve_dirichlet(g, {0: 1.0, 1: 0.0, 2: 0.0}, system=system)
         b = solve_dirichlet(g, {0: 0.0, 1: 1.0, 2: 0.0}, system=system)
         assert math.isclose(a.values[3], b.values[3], rel_tol=1e-14)
+
+
+def _haar_dn(alpha, depth, root_length):
+    """The DN matrix of a potential-free family truncation in closed form.
+
+    Root first, then the leaves in address order.  With ``mu`` the current
+    shares (``beta`` to an a-child, ``alpha`` to a b-child), the root mode
+    ``v = (1, -mu)`` has eigenvalue ``y(n) / root_length``, and the Haar
+    function of a depth-k vertex ``w``, ``alpha`` on its a-subtree and
+    ``-beta`` on its b-subtree, is an eigenfunction with eigenvalue
+    ``y(n - k - 1) / (root_length (alpha beta)**(k + 1))``: ``w`` stays at 0,
+    as its two subtrees draw opposite currents.  ``y`` is the admittance
+    recurrence ``y(1) = 1``, ``y(m + 1) = y(m) / (y(m) + alpha beta)``.
+    """
+    beta = 1.0 - alpha
+    ab = alpha * beta
+    y = [1.0]
+    for _ in range(depth):
+        y.append(y[-1] / (y[-1] + ab))
+    leaves = depth - 1
+    mu = np.ones(1)
+    for _ in range(leaves):
+        mu = np.multiply.outer(mu, (beta, alpha)).ravel()
+    v = np.concatenate(([1.0], -mu))
+    dn = y[depth - 1] / root_length * np.outer(v, v)
+    for k in range(leaves):
+        width = 2 ** (leaves - k)
+        haar = np.where(np.arange(2**leaves) % width < width // 2, alpha, -beta) * mu
+        lam = y[depth - k - 2] / (root_length * ab ** (k + 1))
+        for w, rows in enumerate(haar.reshape(2**k, width)):
+            block = slice(1 + w * width, 1 + (w + 1) * width)
+            dn[block, block] += lam / (ab * mu[w * width:(w + 1) * width].sum()) * np.outer(
+                rows, rows)
+    return dn
+
+
+@pytest.mark.parametrize("alpha", [1e-6, 1e-3, 0.05, 0.3, 0.5, 0.7, 0.95, 0.999, 0.999999])
+def test_dn_matrix_matches_haar_closed_form(alpha):
+    # Each row of dn_matrix is within a few eps / min(alpha, beta) of its
+    # absolute sum: a b-leaf's diagonal entry is beta times its terms, so
+    # their rounding is 1 / beta times larger than the row (measured: at
+    # most 1.03 of eps / min(alpha, beta) over these cases).  This is the
+    # 1e-10 that `dn --alpha 0.999999` reads, and no fault of dn_matrix.
+    eps = np.finfo(float).eps
+    for depth in range(2, 9):
+        for root_length in (1.0, 0.7):
+            spec = AlphaBetaSpec(alpha=alpha, depth=depth, root_length=root_length)
+            got = dn_matrix(generate_ab_tree(spec)).matrix
+            reference = _haar_dn(alpha, depth, root_length)
+            scale = np.abs(reference).sum(axis=1)
+            bound = 8 * eps / min(alpha, 1.0 - alpha) * scale
+            assert np.all(np.abs(got - reference).max(axis=1) <= bound)

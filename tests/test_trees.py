@@ -538,13 +538,18 @@ class TestCellFluxes:
             contributions = np.abs(diag * leaf_values) + np.abs(off * above)
             bound = 64 * eps * contributions + n * 2.0**-1074 * diag
             reference = sol.leaf_flux.reshape(2**top, -1).sum(axis=1)
-            assert np.all(
-                np.abs(row - reference) <= bound.reshape(2**top, -1).sum(axis=1)
-            )
             d0, o0 = blocks[0]
             scale = abs(d0[0] * coefs[4]) + abs(o0[0] * sol.values[1][0])
-            bound = 64 * eps * scale + n * 2.0**-1074 * d0[0]
-            assert abs(root - sol.root_flux) <= bound
+            values = np.append(row, root)
+            bound = np.append(bound.reshape(2**top, -1).sum(axis=1),
+                              64 * eps * scale + n * 2.0**-1074 * d0[0])
+            off = np.abs(values - np.append(reference, sol.root_flux)) > bound
+            if off.any():
+                # The sweep's own vertex values carry rounding that its
+                # yardstick leaves out, most where they cancel; there the
+                # 50-digit sweep is the reference, at the same bound.
+                exact = _exact_cell_fluxes(spec, levels_kappa2, leaf_values, coefs[4], top)
+                assert np.all(np.abs(values - exact)[off] <= bound[off])
 
     @given(data=st.data(), alpha=st.floats(min_value=0.05, max_value=0.95),
            seed=st.integers(0, 2**32 - 1),
@@ -697,6 +702,18 @@ class TestCellFluxes:
         too_deep = trees.MAX_SWEEP_EDGES.bit_length() + 1
         with pytest.raises(ValidationError, match=str(trees.MAX_SWEEP_EDGES)):
             trees.cell_fluxes(family, [1.0, 0.0], 0.0, [too_deep], 1)
+
+
+def _exact_cell_fluxes(spec, kappa2, leaf_values, root_value, top):
+    """50-digit fluxes through the depth-``top`` cells, then the root."""
+    mpmath = pytest.importorskip("mpmath")
+    from oracles import mp_leaf_fluxes
+
+    flux, root = mp_leaf_fluxes(level_lengths(spec), kappa2, leaf_values, root_value)
+    per_cell = len(flux) >> top
+    with mpmath.workdps(50):
+        cells = [mpmath.fsum(flux[i:i + per_cell]) for i in range(0, len(flux), per_cell)]
+        return np.array([float(x) for x in cells + [root]])
 
 
 def _check_against_table_sweep(family, values, root, depths, top):
