@@ -12,10 +12,10 @@ sequence over n.  Convergence of the sequence is reported as data, never
 raised.  Every truncation depth of one call is solved at once by the
 exhaustion kernel of :mod:`graphdn.trees`, with no truncation built as a
 metric graph and no leaf visited: :func:`dn_function` and
-:func:`dn_at_depth` read E per canonical prefix, from its ``mu`` share of
-F's coarse flux and, without a potential, F's Haar modes, so E's depth
-costs nothing; :func:`measure_table` and :func:`quadratic_form` read the
-cells of :func:`graphdn.trees.cell_fluxes`.
+:func:`dn_at_depth` read E per canonical prefix, from F's Haar modes and
+its ``mu`` share of the flux through the coarse cell that holds it, so
+E's depth costs nothing; :func:`measure_table` and :func:`quadratic_form`
+read the cells of :func:`graphdn.trees.cell_fluxes` the same way.
 
 A set is its spans: the sorted, merged ``[lo, hi)`` index intervals of its
 cells of depth d, the coarsest that holds every bound, built once from the
@@ -430,15 +430,17 @@ def _check_range(*fluxes) -> None:
 def _set_fluxes(f: SimpleBoundaryFunction, e: ClopenSet, depths) -> np.ndarray:
     """E's flux in each depth's truncation of F, read per canonical prefix.
 
-    A prefix draws its ``mu`` share of its coarse cell's flux plus its Haar
-    terms, one ``lam @ coef`` product, or the coarse cells it holds.
-    Refuses a kernel value out of range, with no floating-point warnings.
+    A prefix at or below the coarse cells of :func:`graphdn.trees._exhaustion`
+    draws its ``mu`` share of its coarse cell's flux plus its Haar terms,
+    one ``lam @ coef`` product; a shallower one draws the coarse cells it
+    holds.  Refuses a flux out of the float range, with no floating-point
+    warnings.
     """
     alpha, beta = f.family.alpha, f.family.beta
     with np.errstate(over="ignore", invalid="ignore"):
-        coarse, root, lam, details = _exhaustion(
+        coarse, root, lam, details, scale = _exhaustion(
             f.family, f.cell_values(), f.root_value(), depths,
-            max(f.cell_depth, e.cell_depth), modes=True,
+            max(f.cell_depth, e.cell_depth),
         )
         top = coarse.shape[1].bit_length() - 1
         weights, coef = np.zeros(1 << top), [0.0] * len(details)
@@ -457,7 +459,8 @@ def _set_fluxes(f: SimpleBoundaryFunction, e: ClopenSet, depths) -> np.ndarray:
         flux = coarse @ weights + lam @ coef
         if e.include_root:
             flux += root
-    _check_range(flux, root, *details)
+        flux = np.ldexp(flux, scale)
+    _check_range(flux)
     return flux
 
 
@@ -607,21 +610,29 @@ def measure_table(
     per_cell = np.column_stack(
         (rows.reshape(len(depths), 2**partition_depth, -1).sum(axis=2), roots)
     )
-    # The whole boundary's flux, as its set's one block sums it.
-    whole = roots + rows.sum(axis=-1)
-    additivity = np.abs(per_cell.sum(axis=1) - whole).max()
+    # The whole boundary's flux, as its set's one block sums it.  Cells in
+    # range can sum past it; fsum raises OverflowError then.
+    with np.errstate(over="ignore", invalid="ignore"):
+        whole = roots + rows.sum(axis=-1)
+        additivity = np.abs(per_cell.sum(axis=1) - whole).max()
 
     reports = tuple(_reports(depths, per_cell.T.tolist(), tol))
     values = tuple(r.limit for r in reports)
+    try:
+        totals = [math.fsum(v for v in values if v > 0.0),
+                  math.fsum(v for v in values if v < 0.0), math.fsum(values)]
+    except OverflowError:
+        raise DomainError("a measure total overflows the float range") from None
+    _check_range(additivity)
     return MeasureTable(
         partition_depth=partition_depth,
         cells=tuple(cells),
         reports=reports,
         values=values,
         additivity_residual=float(additivity),
-        positive_total=math.fsum(v for v in values if v > 0.0),
-        negative_total=math.fsum(v for v in values if v < 0.0),
-        signed_total=math.fsum(values),
+        positive_total=totals[0],
+        negative_total=totals[1],
+        signed_total=totals[2],
         converged=all(r.converged for r in reports),
     )
 

@@ -59,9 +59,8 @@ _MIN_EDGE_LENGTH = 1e-300
 # exhaustion, and so the depth M < n of the cells read.  Exhaustion sweeps
 # only its 2**C coarse cells and reads E per prefix: through a depth-23 cell
 # dn_function peaks at the interpreter's own 60 MB; cell_fluxes returns 8 B
-# per cell and depth.  Each
-# ceiling keeps one call under about 1 GB: depth 20 (0.2 GB predicted) for
-# the graph, depth 24 for the sweeps.
+# per cell and depth.  Each ceiling keeps one call under about 1 GB: depth
+# 20 (0.2 GB predicted) for the graph, depth 24 for the sweeps.
 MAX_GRAPH_EDGES = 2**20 - 1
 MAX_SWEEP_EDGES = 2**24 - 1
 
@@ -318,7 +317,7 @@ def _reduce(block, kappa2, y, j, root_value):
     for k in range(len(kappa2)):
         _, o = block(k)
         pivot, j_v = pivots.pop()
-        above = np.repeat(values[-1], o.shape[-1] // values[-1].shape[-1], axis=-1)
+        above = values[-1].repeat(o.shape[-1] // values[-1].shape[-1], axis=-1)
         values.append(-(o * above + j_v) / pivot)
     return values, y, j
 
@@ -382,70 +381,87 @@ def _admittances(alpha: float, beta: float, count: int) -> list[float]:
     return y
 
 
-def _coarse_fluxes(family, kappa2, deepest, depths, y, data, root_value, top):
-    """:func:`_exhaustion`'s ``(coarse, root)`` for the data on the
-    depth-``top`` cells, ``y`` the admittances below level ``max(top, P)``."""
-    n_max, seed = int(depths.max()), max(top, deepest)
+def _coarse_fluxes(family, kappa2, deepest, depths, data, root_value, top):
+    """:func:`_exhaustion`'s ``(coarse, root)`` read on the top edges of the
+    depth-``top`` coarse cells, with data ``data`` and a potential on level
+    ``P = deepest`` and none below it.
+
+    Below level ``top`` every subtree has constant data ``c``, and its
+    edges follow from its top edge's class, the level and b-count that fix
+    its length in :func:`class_lengths`; a class's children are its own and
+    the next class one level down.  With ``u`` the value above its top
+    edge, a subtree draws ``Y u + J``, ``J = T c``, through that edge and
+    holds the potential integral ``A u + B c``.  Every subtree below level
+    ``S = max(top, P)`` is a scaled copy of one potential-free subtree,
+    whose admittance one recurrence gives (:func:`_admittances`):
+    ``T = -Y`` and ``A = B = 0``.  One table, one row per depth, starts
+    there at level ``S + 1`` and is swept in place by the elimination step
+    of :func:`level_sweep` over the potential levels ``top + 1 .. P``
+    only; shallower rows enter as leaves at their own level.  Only the top
+    levels are swept edge by edge.  By current balance a coarse cell's
+    flux is ``A u + B c - (Y u + J)`` on its top edge, which the symmetry
+    of the subtree's two-terminal map turns into the cancellation-free
+    ``T u + (B c - J)``; no leaf flux is summed.
+    """
+    listed = depths.tolist()
+    n_max, seed = max(listed), max(top, deepest)
     # Class lengths for levels 1 .. seed + 1, level k's at flat[k (k - 1) / 2
-    # : k (k + 1) / 2]; an edge of levels 1 .. top + 1 reads its class by its
-    # b-count.  Below level P an edge is a conductance, (1 / l, -1 / l), as
-    # edge_dn_blocks gives bit for bit at z = 0.
+    # : k (k + 1) / 2]; an edge of levels 1 .. top + 1 (the last are the
+    # coarse cells' top edges) reads its class by its b-count.  Below level
+    # P an edge is a conductance, (1 / l, -1 / l), as edge_dn_blocks gives
+    # bit for bit at z = 0, and holds no potential integral.
     levels = min(n_max, seed + 1)
     kappa2 += (0.0,) * (levels - len(kappa2))
     flat = _class_lengths(family, levels)
     d = 1.0 / flat
-    o = -d
-    if deepest:
-        hot = slice(deepest * (deepest + 1) // 2)
-        potentials = np.repeat(kappa2[:deepest], range(1, deepest + 1))
-        d[hot], o[hot] = edge_dn_blocks(flat[hot], potentials)
+    o, w = -d, np.zeros(len(flat))
+    hot = slice(deepest * (deepest + 1) // 2)
+    potentials = np.repeat(kappa2[:deepest], range(1, deepest + 1))
+    d[hot], o[hot] = edge_dn_blocks(flat[hot], potentials)
+    w[hot] = edge_potential_weights(flat[hot], potentials)
 
-    # The subtree hanging from a class's edge draws Y u + T c and holds
-    # A u + B c under constant data c.  Every depth starts at level seed + 1
-    # from the admittance recurrence, T = -Y, A = B = 0; a shallower one
-    # holds these finite values until it enters as a leaf at its level.
-    t = np.divide.outer(y[np.maximum(depths - seed - 1, 0)], -flat[-levels:])
+    # The table (Y, T, A, B) x depths x classes starts at level seed + 1,
+    # and a shallower depth holds these finite values until it enters as a
+    # leaf at its level.  It is swept in place over the levels top + 1 ..
+    # seed, and each coarse cell's J at its own datum beside it on its
+    # subtree's classes: the level sweep's own operations on the same
+    # operands.  y[n] is y(n - seed) for a depth n below the seed level.
+    y = _admittances(family.alpha, family.beta, n_max - seed)
+    y = y[:1] * (seed + 1) + y
+    table = np.empty((4, len(listed), levels))
+    np.divide.outer([y[n] for n in listed], -flat[-levels:], out=table[1])
+    np.negative(table[1], out=table[0])
+    table[2:] = 0.0
     counts = _b_counts(top + 1)
     cell = counts[top]
-    if seed > top:
-        # The table (Y, T, A, B) x depths x classes is swept in place over
-        # the potential levels top + 1 .. seed, and each coarse cell's J at
-        # its own datum beside it on its subtree's classes: the level sweep's
-        # own operations on the same operands.
-        w = np.zeros(len(flat))
-        w[hot] = edge_potential_weights(flat[hot], potentials)
-        table = np.zeros((4, len(depths), levels))
-        table[0], table[1] = -t, t
-        subtree = np.add.outer(cell, range(levels - top))
-        j = t[:, subtree] * data[:, None]
-        for k in range(levels, top, -1):
-            s, offsets = slice(k * (k - 1) // 2, k * (k + 1) // 2), subtree[:, :k - top]
-            if k < levels:
-                table[..., :k] += table[..., 1:k + 1]
-                y_v, t_v, a_v, b_v = table[..., :k]
-                pivot = d[s] + y_v
-                lift = (w[s] + a_v) / pivot
-                b_v -= t_v * lift
-                a_v[...] = w[s] - o[s] * lift
-                y_v *= d[s]
-                if kappa2[k - 1]:
-                    y_v += kappa2[k - 1]
-                y_v /= pivot
-                t_v *= -o[s]
-                t_v /= pivot
-                j[..., :k - top] += j[..., 1:k - top + 1]
-                j[..., :k - top] *= -o[s][offsets]
-                j[..., :k - top] /= pivot[:, offsets]
-            if k <= deepest:
-                entering = depths == k
-                table[:, entering, :k] = np.array((d[s], o[s], w[s], w[s]))[:, None]
-                j[entering, :, :k - top] = o[s][offsets] * data[:, None]
-        t, j = table[1][:, cell], j[..., 0]
-        y_c, b_j = table[0][:, cell], table[3][:, cell] * data - j
-    else:
-        t = t[:, cell]
-        y_c, j = -t, t * data
-        b_j = -j
+    subtree = np.add.outer(cell, range(levels - top))
+    j = table[1][:, subtree] * data[:, None]
+    for k in range(levels, top, -1):
+        s, offsets = slice(k * (k - 1) // 2, k * (k + 1) // 2), subtree[:, :k - top]
+        if k < levels:
+            table[..., :k] += table[..., 1:k + 1]
+            y_v, t_v, a_v, b_v = table[..., :k]
+            pivot = d[s] + y_v
+            lift = (w[s] + a_v) / pivot
+            b_v -= t_v * lift
+            a_v[...] = w[s] - o[s] * lift
+            y_v *= d[s]
+            if kappa2[k - 1]:
+                y_v += kappa2[k - 1]
+            y_v /= pivot
+            t_v *= -o[s]
+            t_v /= pivot
+            j[..., :k - top] += j[..., 1:k - top + 1]
+            j[..., :k - top] *= -o[s][offsets]
+            j[..., :k - top] /= pivot[:, offsets]
+        if k <= deepest:
+            entering = depths == k
+            table[:, entering, :k] = np.array((d[s], o[s], w[s], w[s]))[:, None]
+            j[entering, :, :k - top] = o[s][offsets] * data[:, None]
+    y_c, t, b_j = table[[0, 1, 3]][..., cell]
+    j = j[..., 0]
+    b_j *= data
+    b_j -= j
 
     # The top levels are swept edge by edge, each level's blocks gathered by
     # b-count when the sweep reaches it.
@@ -456,34 +472,39 @@ def _coarse_fluxes(family, kappa2, deepest, depths, y, data, root_value, top):
 
     if top:
         values, y_c, j = _reduce(block, kappa2[:top], y_c, j, root_value)
-        t *= np.repeat(values[-1], 2, axis=-1)
+        t *= values[-1].repeat(2, axis=-1)
     else:
         t *= root_value
-    # A coarse cell's flux A u + B c - (Y u + J), by current balance, is
-    # T u + (B c - J) by the symmetry of the subtree's map; no leaf is summed.
-    coarse = t + b_j
-    return coarse, y_c[:, 0] * root_value + j[:, 0]
+    t += b_j
+    return t, y_c[:, 0] * root_value + j[:, 0]
 
 
-def _exhaustion(family, cell_values, root_value, depths, cell_depth, modes):
-    """The exhaustion kernel: ``(coarse, root, lam, details)``.
+def _exhaustion(family, cell_values, root_value, depths, cell_depth):
+    """The exhaustion kernel: ``(coarse, root, lam, details, scale)``, the
+    data-linear ones for the data times ``2**-scale``.
 
     With ``g`` the data's depth, ``M = cell_depth`` and ``P`` the deepest
     level with a potential, ``coarse[i]`` and ``root[i]`` are the
-    depth-``depths[i]`` fluxes through the coarse cells, at depth
-    ``C = min(M, max(g, P - 1))``, and the root.  F is constant on the
-    coarse cells and no edge below them has a potential, so each one's
-    current splits among the cells below it by their ``mu`` share.
+    depth-``depths[i]`` fluxes through the coarse cells, of depth ``C``,
+    and the root for F's means on the coarse cells, which are constant on
+    each.  No edge below a coarse cell has a potential, so its current
+    splits among the cells below it by their ``mu`` share, and each of F's
+    Haar modes below the coarse cells adds ``mu(w) lam_k Delta_k(w)`` to a
+    cell ``w`` under its vertex.
 
-    With ``modes`` and no potential, ``C = 0`` and F enters through its Haar
-    modes: a depth-``k`` vertex's Haar function, ``alpha`` on its a-subtree
-    and ``-beta`` on its b-subtree, is an eigenfunction of every truncation,
-    as the vertex stays at 0.  ``details[k]`` is ``Delta_k`` on the
-    depth-``k + 1`` vertices, ``alpha D`` on an a-child and ``-beta D`` on a
-    b-child with ``D`` the difference of the children's means, and
-    ``lam[i, k] = y(n - k - 1) / (root_length (alpha beta)**(k + 1))``.
-    Per cell the modes' terms can cancel far below their size, so cells are
-    read otherwise on F's own, where their rounding is the level sweep's.
+    Without a potential ``C = 0``, and F enters through its Haar modes: a
+    depth-``k`` vertex's Haar function, ``alpha`` on its a-subtree and
+    ``-beta`` on its b-subtree, has ``mu``-mean 0, so the vertex stays at
+    0 and the function is an eigenfunction of every truncation.
+    ``details[k]`` is ``Delta_k`` on the depth-``k + 1`` vertices,
+    ``alpha D`` on an a-child and ``-beta D`` on a b-child with ``D`` the
+    difference of the children's means, and ``lam[i, k] = y(n - k - 1) /
+    (root_length (alpha beta)**(k + 1))``; the root mode draws ``y(n) /
+    root_length (r - E_0 f)`` through the root edge.  With a potential,
+    the modes of a cell it shields cancel far below their size, so the
+    coarse cells are F's own cells or deeper, ``C = min(M, max(g, P -
+    1))``, read on their top edges by :func:`_coarse_fluxes`, and there
+    are no modes.
     """
     depths = np.asarray(depths, dtype=int)
     listed = depths.tolist()
@@ -507,36 +528,35 @@ def _exhaustion(family, cell_values, root_value, depths, cell_depth, modes):
     alpha, beta = family.alpha, family.beta
     kappa2 = family.kappa2_per_level[:n_max]
     deepest = max((k + 1 for k, q in enumerate(kappa2) if q), default=0)
-    top = 0 if modes and not deepest else min(cell_depth, max(deepest - 1, given))
-    seed = max(top, deepest)
+    top = min(cell_depth, max(deepest - 1, given)) if deepest else 0
+    # The fluxes are linear in the data: they are computed for the data
+    # scaled exactly by 2**-scale to below 1 in size, so no value in between
+    # overflows or loses digits below the normal range.
+    _, scale = math.frexp(max(np.abs(cell_values).max(), abs(root_value)))
+    root_value = math.ldexp(root_value, -scale)
 
     # The detail pyramid, finest first: E_k f(w) = beta E_(k+1) f(wa) +
-    # alpha E_(k+1) f(wb), down to the coarse data on the depth-top cells.
-    data, details = cell_values, []
+    # alpha E_(k+1) f(wb), down to the means on the coarse cells.
+    data, details = np.ldexp(cell_values, -scale), []
     while len(data) > 1 << top:
         diff = data[0::2] - data[1::2]
         details.append(np.multiply.outer(diff, (alpha, -beta)).ravel())
         data = beta * data[0::2] + alpha * data[1::2]
     details.reverse()
-    if len(data) < 1 << top:
-        data = np.repeat(data, (1 << top) // len(data))
 
-    y = np.array(_admittances(alpha, beta, n_max - seed))
-    if seed:
+    if deepest:
         coarse, root = _coarse_fluxes(
-            family, kappa2, deepest, depths, y, data, root_value, top
+            family, kappa2, deepest, depths, data.repeat(1 << top - given),
+            root_value, top,
         )
-    else:
-        # No potential, and one coarse cell, the whole Cantor part: the tree
-        # draws y(n) / root_length (r - E_0 f) through its root edge.
-        root = y[depths - 1] / family.root_length * (root_value - data[0])
-        coarse = -root[:, None]
-
-    # Mode k's eigenvalue in the depth-n truncation, from the same y.
-    k = np.arange(top + 1, given + 1)
-    scale = [family.root_length * alpha**m * beta**m for m in k.tolist()]
-    lam = y[np.subtract.outer(depths - 1, k)] / scale
-    return coarse, root, lam, details
+        return coarse, root, np.zeros((len(listed), 0)), details, scale
+    # Mode k's eigenvalue in the depth-n truncation, y(n - k) / (root_length
+    # (alpha beta)**k), the root mode's at k = 0.
+    y = _admittances(alpha, beta, n_max)
+    lam = np.array([[y[n - k - 1] for k in range(given + 1)] for n in listed])
+    lam /= [family.root_length * alpha**k * beta**k for k in range(given + 1)]
+    root = lam[:, 0] * (root_value - data[0])
+    return -root[:, None], root, lam[:, 1:], details, scale
 
 
 def cell_fluxes(
@@ -555,22 +575,31 @@ def cell_fluxes(
     through each depth-``M`` cell (the sum of its leaves' outward
     derivatives) and ``root[i]`` its root flux.
 
-    Each cell takes its share of its coarse cell's flux from
-    :func:`_exhaustion`: ``mu`` gives ``beta`` to an a-child and ``alpha``
-    to a b-child, so a cell ``i`` b-steps below has
-    ``beta**(steps - i) * alpha**i``.  Rows are C-contiguous: numpy's
+    Each cell takes its ``mu`` share of its coarse cell's flux from
+    :func:`_exhaustion`, plus its Haar terms: ``mu`` gives ``beta`` to an
+    a-child and ``alpha`` to a b-child.  Rows are C-contiguous: numpy's
     summation order follows the memory layout, and callers sum over rows
     and across cells.
     """
-    coarse, root, _, _ = _exhaustion(
-        family, cell_values, root_value, depths, cell_depth, modes=False
+    coarse, root, lam, details, scale = _exhaustion(
+        family, cell_values, root_value, depths, cell_depth
     )
     top = coarse.shape[1].bit_length() - 1
-    steps, i = cell_depth - top, np.arange(cell_depth - top + 1)
-    share = (family.beta ** (steps - i) * family.alpha**i)[_b_counts(steps + 1)[steps]]
-    cells = np.repeat(coarse, 1 << steps, axis=1)
-    cells *= np.tile(share, 1 << top)
-    return cells, root
+    cells = coarse.repeat(1 << cell_depth - top, axis=1)
+    cells *= np.tile(_masses(family, cell_depth - top), 1 << top)
+    # Each mode adds mu(cell) lam_k Delta_k to the cells under its vertex.
+    if details:
+        mass = _masses(family, cell_depth)
+        for k, delta in enumerate(details):
+            cells += np.multiply.outer(lam[:, k], mass * delta.repeat(len(mass) // len(delta)))
+    return np.ldexp(cells, scale), np.ldexp(root, scale)
+
+
+def _masses(family: AlphaBetaSpec, depth: int) -> np.ndarray:
+    """``mu`` of each depth-``depth`` cell, in address order: a cell ``i``
+    b-steps down has ``beta**(depth - i) * alpha**i``."""
+    i = np.arange(depth + 1)
+    return (family.beta ** (depth - i) * family.alpha**i)[_b_counts(depth + 1)[depth]]
 
 
 def cylinder_slice(prefix: str, depth: int) -> slice:

@@ -543,8 +543,8 @@ def _run_child(*argv):
 
 @LINUX_RSS
 def test_deepest_cell_exhaustion_peak_rss():
-    # E at depth 23 is read as one prefix, its mu share of F's coarse flux
-    # and modes; no cell of it is built.  The child's peak RSS measured 60 MB
+    # E at depth 23 is read as one prefix, its mu share of F's coarse flux;
+    # no cell of it is built.  The child's peak RSS measured 60 MB
     # on x86-64 Linux (CPython 3.11, numpy 2.4), the interpreter's own, and
     # 361 MB when the 2**23 cells of the depth-24 truncation were swept.
     done, peak_mb = _run_child(
@@ -621,9 +621,9 @@ def test_max_depth_refused_before_depths_exist(command):
         # A flux of 1.80e308 at every depth.
         ["converge", "--alpha", "0.3", "--F", "1e308*cyl:a-1e308*cyl:b", "--E", "cyl:a",
          "--max-depth", "6"],
-        ["converge", "--alpha", "0.3", "--F", "1e308*cyl:a-1e308*cyl:b", "--E", "all",
+        ["converge", "--alpha", "0.3", "--kappa2", "1e10", "--F", "1e308*all", "--E", "all",
          "--max-depth", "6"],
-        ["measure", "--alpha", "0.3", "--F", "1e308*cyl:a", "--max-depth", "6"],
+        ["measure", "--alpha", "0.3", "--F", "1e308*cyl:a-1e308*cyl:b", "--max-depth", "6"],
     ],
 )
 def test_overflow_exits_2(argv, capsys):
@@ -635,16 +635,26 @@ def test_overflow_exits_2(argv, capsys):
     assert err.startswith("error:") and "overflows the float range" in err
 
 
-def test_huge_data_reads_scaled_values(capsys):
-    # The exhaustion of 1e308*cyl:a through cyl:b is 1e308 times that of
-    # cyl:a, from -8.26e307 to -6.24e307, with no value out of range.
-    argv = ["converge", "--alpha", "0.3", "--E", "cyl:b", "--max-depth", "6"]
-    code, out, err = run(capsys, *argv, "--F", "1e308*cyl:a")
-    assert code == 3 and err == ""
-    _, unit, _ = run(capsys, *argv, "--F", "cyl:a")
-    rows = [line.split()[:2] for line in out.splitlines()[1:6]]
-    unit_rows = [line.split()[:2] for line in unit.splitlines()[1:6]]
-    assert [n for n, _ in rows] == [n for n, _ in unit_rows] == ["2", "3", "4", "5", "6"]
+@pytest.mark.parametrize(
+    "command, f, exit_code, labels",
+    [
+        (["converge", "--E", "cyl:b"], "cyl:a", 3, ["2", "3", "4", "5", "6"]),
+        (["measure"], "cyl:a", 3, ["@aa", "@ab", "@ba", "@bb", "v0"]),
+        (["converge", "--E", "all"], "cyl:a-cyl:b", 0, ["2", "3", "4", "5", "6"]),
+    ],
+)
+def test_huge_data_reads_scaled_values(command, f, exit_code, labels, capsys):
+    # The exhaustion of 1e308*F is 1e308 times that of F: through cyl:b
+    # from -8.26e307 to -6.24e307 and up to 8.24e307 through a depth-2 cell
+    # for F = cyl:a, and 0 through the whole boundary for cyl:a-cyl:b, whose
+    # flux through cyl:a, 1.80e308, is never formed.
+    argv = [*command, "--alpha", "0.3", "--max-depth", "6"]
+    code, out, err = run(capsys, *argv, "--F", "1e308*" + f.replace("-", "-1e308*"))
+    assert code == exit_code and err == ""
+    _, unit, _ = run(capsys, *argv, "--F", f)
+    rows = [line.split()[:2] for line in out.splitlines()[1:len(labels) + 1]]
+    unit_rows = [line.split()[:2] for line in unit.splitlines()[1:len(labels) + 1]]
+    assert [k for k, _ in rows] == [k for k, _ in unit_rows] == labels
     for (_, big), (_, one) in zip(rows, unit_rows):
         assert float(big) == pytest.approx(1e308 * float(one), rel=1e-11)
 
@@ -830,12 +840,12 @@ PINNED_RUNS = [
      "eae34f88a24b320a0c6428ac407657cfb38d8d5e9c48936ed9b4c186edcb3493",
      "33db2f6fec7ee5d40c33d41f22cac0b0bd3a3e92f596a0e078b9a7af75eff73a"),
     ("measure --alpha 0.3 --F cyl:a+2*cyl:bab-1e-3*v0 --partition-depth 3 --max-depth 10", 3,
-     "475bb50e8c2d9cd43040fd979e62d2954db0417f311d7cd51e37ebd1ebd32c36",
-     "d6cac236c1ecaf61229e490a685c8b9bb827312e2a9c7ac77583cd1fe760590f"),
+     "51f31f36ebad6f7dd70de156e1ef47fba15dbf00a6fd783f9c540b17325c3ca7",
+     "2eeb62e47ed84fb42a793b00b4d5a8aac1754a53f790498e13fc7d22ee2a0863"),
     ("measure --alpha 0.6 --F cyl:aab+cyl:aba+cyl:abb-0.5*cantor --partition-depth 2 "
      "--max-depth 9", 3,
-     "2e4576ea7c134f6aa4f04020308cd738fedde3d5bf20b1cd644ccdd0acedc527",
-     "cd146f0307205af8cdaadcc6e2a73d696f9180ed1d1fdf61c8f6a484808d96f8"),
+     "2bfcf6ac9447f8261044736b9561c1ec5f269c68a94d6be1be968fc0b806f2f5",
+     "8ca372d9ff261910f62d9da4a6f2cb98a5bd2378fffdf9e35a2742def10cc9ef"),
     ("measure --alpha 0.35 --kappa2 0,2 --F 0.3*all-0.3*cyl:ba+cyl:bba --partition-depth 4 "
      "--max-depth 9", 3,
      "f4b35edfda8226670ac008ad5ffb1c04ee612b3050daeec04cdeba359707bd01",
