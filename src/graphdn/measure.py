@@ -11,20 +11,21 @@ boundary derivatives over the vertices whose cells lie in E, and track the
 sequence over n.  Convergence of the sequence is reported as data, never
 raised.  Every truncation depth of one call is solved at once by the
 exhaustion kernel of :mod:`graphdn.trees`, with no truncation built as a
-metric graph and no leaf visited: :func:`dn_function` and
-:func:`dn_at_depth` read E per canonical prefix, from F's Haar modes and
-its ``mu`` share of the flux through the coarse cell that holds it, so
-E's depth costs nothing; :func:`measure_table` and :func:`quadratic_form`
-read the cells of :func:`graphdn.trees.cell_fluxes` the same way.
+metric graph and no leaf visited, and read there by one of its two
+readers, which refuse a flux out of the float range: :func:`dn_function`
+and :func:`dn_at_depth` hand E's canonical prefixes to the per-prefix
+reader, so E's depth costs nothing; :func:`measure_table` and
+:func:`quadratic_form` read the cells of :func:`graphdn.trees.cell_fluxes`.
 
 A set is its spans: the sorted, merged ``[lo, hi)`` index intervals of its
 cells of depth d, the coarsest that holds every bound, built once from the
 given prefixes (each one :func:`graphdn.trees.cylinder_slice`,
 O(P log P + P*d) for P of them) or from cells.  Every read works on them:
-the canonical prefixes are their maximal aligned dyadic blocks, the
-complement their gaps, disjointness one sweep, and a cell lies in, outside
-or across a set by one bisection.  :func:`combine` adds its pairs' terms
-into the 2^d cells and groups them by value with one stable sort,
+the canonical prefixes are their maximal aligned dyadic blocks, by index,
+and become address strings only when ``prefixes`` is first read; the
+complement is their gaps, disjointness one sweep, and a cell lies in,
+outside or across a set by one bisection.  :func:`combine` adds its pairs'
+terms into the 2^d cells and groups them by value with one stable sort,
 O(2^d log 2^d); no address string is parsed.
 
 Finite truncations satisfy the structural identities exactly up to solver
@@ -36,7 +37,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations, groupby
 from typing import Iterable, Sequence
 
@@ -49,7 +51,8 @@ from .trees import (
     AlphaBetaSpec,
     _address_codes,
     _check_cell_depth,
-    _exhaustion,
+    _check_range,
+    _prefix_fluxes,
     cell_fluxes,
     cylinder_slice,
 )
@@ -96,12 +99,6 @@ def _blocks(intervals: Iterable[Sequence[int]], depth: int):
             lo += 1 << shift
 
 
-def _prefixes(intervals: Iterable[Sequence[int]], depth: int) -> tuple[str, ...]:
-    """The maximal cylinders inside the intervals, in address order."""
-    # An address code is a marker bit, then one bit per symbol.
-    return tuple(address_of(i | 1 << n) for i, n in _blocks(intervals, depth))
-
-
 def _overlap(sets: Sequence["ClopenSet"]) -> bool:
     """Whether two of these sets meet, by one sweep over their spans."""
     if sum(s.include_root for s in sets) > 1:
@@ -113,36 +110,52 @@ def _overlap(sets: Sequence["ClopenSet"]) -> bool:
     return any(lo < end for (_, end), (lo, _) in zip(spans, spans[1:]))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ClopenSet:
     """A clopen subset of the ideal boundary of one tree family.
 
-    Held as ``spans``, the merged ``[lo, hi)`` intervals of its cells of the
-    coarsest depth ``cell_depth``, plus a flag for the isolated root boundary
-    vertex; ``prefixes`` is the canonical antichain made from them.  Equality
-    and hashing use the cells and the family identity, not truncation depth.
+    ``ClopenSet(family, prefixes, include_root=False)`` is the union of the
+    prefix cylinders, with the isolated root boundary vertex when
+    ``include_root`` is set.  The set is held as ``spans``, the merged
+    ``[lo, hi)`` intervals of its cells of the coarsest depth
+    ``cell_depth``; ``prefixes``, the canonical antichain, is made from
+    them on first read.  Equality and hashing use the cells and the family
+    identity, not truncation depth.
     """
 
     family: AlphaBetaSpec
-    prefixes: tuple[str, ...]
+    cell_depth: int
+    spans: tuple[tuple[int, int], ...]
     include_root: bool = False
-    cell_depth: int = field(init=False)
-    spans: tuple[tuple[int, int], ...] = field(init=False, repr=False)
 
-    def __post_init__(self):
-        given = tuple(self.prefixes)
+    def __new__(cls, family: AlphaBetaSpec, prefixes: Iterable[str],
+                include_root: bool = False) -> "ClopenSet":
+        given = tuple(prefixes)
         depth = max(map(len, given), default=0)
-        self._hold(_intervals(given, depth), depth)
+        return cls._of_spans(family, _intervals(given, depth), depth, include_root)
 
-    def _hold(self, spans: Sequence[Sequence[int]], depth: int) -> None:
-        """Keep sorted, merged depth-``depth`` spans at the coarsest depth."""
+    @classmethod
+    def _of_spans(cls, family, spans, depth: int, include_root: bool = False):
+        """The set of sorted, merged depth-``depth`` spans, held at the
+        coarsest depth; no address is parsed or built."""
         # 2**shift, the largest power of two dividing every bound, is how many
         # of these cells make one of the coarsest.
         shift = math.gcd(1 << depth, *chain.from_iterable(spans)).bit_length() - 1
-        spans = tuple((lo >> shift, hi >> shift) for lo, hi in spans)
-        object.__setattr__(self, "cell_depth", depth - shift)
-        object.__setattr__(self, "spans", spans)
-        object.__setattr__(self, "prefixes", _prefixes(spans, depth - shift))
+        s = object.__new__(cls)
+        # Straight into the instance dict, past the frozen __setattr__.
+        vars(s).update(family=family, cell_depth=depth - shift,
+                       spans=tuple([(lo >> shift, hi >> shift) for lo, hi in spans]),
+                       include_root=include_root)
+        return s
+
+    def __reduce__(self):  # for copy and pickle: __new__ takes prefixes
+        return ClopenSet._of_spans, (self.family, self.spans, self.cell_depth,
+                                     self.include_root)
+
+    @cached_property
+    def prefixes(self) -> tuple[str, ...]:
+        # An address code is a marker bit, then one bit per symbol.
+        return tuple(address_of(i | 1 << n) for i, n in _blocks(self.spans, self.cell_depth))
 
     @classmethod
     def cylinder(
@@ -182,7 +195,7 @@ class ClopenSet:
     def complement(self) -> "ClopenSet":
         bounds = [0, *chain.from_iterable(self.spans), 2**self.cell_depth]
         gaps = [(lo, hi) for lo, hi in zip(bounds[::2], bounds[1::2]) if lo < hi]
-        return _of_cells(self.family, gaps, self.cell_depth, not self.include_root)
+        return self._of_spans(self.family, gaps, self.cell_depth, not self.include_root)
 
     def disjoint_from(self, other: "ClopenSet") -> bool:
         return not _overlap((self, other))
@@ -201,9 +214,9 @@ class ClopenSet:
         if lo <= cell.start and cell.stop <= hi:
             return True
         if cell.start < hi and lo < cell.stop:
-            inside = _prefixes([(max(lo, cell.start), min(hi, cell.stop))], depth)
+            i, n = next(_blocks([(max(lo, cell.start), min(hi, cell.stop))], depth))
             raise DomainError(
-                f"cell {address!r} straddles prefix {inside[0]!r}; "
+                f"cell {address!r} straddles prefix {address_of(i | 1 << n)!r}; "
                 "refine the truncation"
             )
         return False
@@ -244,11 +257,11 @@ class ClopenSet:
                 f"{n} cell fluxes are not the 2**M cells of a depth M >= "
                 f"{self.cell_depth}, the set's cell depth"
             )
-        depth = n.bit_length()
+        depth = n.bit_length() - 1
         total = root if self.include_root else 0.0
         # One sum per canonical block: a sum per span would round differently.
-        for p in self.prefixes:
-            total = total + cells[cylinder_slice(p, depth)].sum()
+        for i, length in _blocks(self.spans, self.cell_depth):
+            total = total + cells[i << depth - length:i + 1 << depth - length].sum()
         return float(total)
 
     def label(self) -> str:
@@ -256,25 +269,6 @@ class ClopenSet:
         if self.include_root:
             parts.append("v0")
         return "+".join(parts) if parts else "empty"
-
-
-def _of_cells(family, spans, depth: int, include_root: bool = False) -> ClopenSet:
-    """The set of sorted, merged depth-``depth`` spans; no prefix is parsed."""
-    s = object.__new__(ClopenSet)
-    object.__setattr__(s, "family", family)
-    object.__setattr__(s, "include_root", include_root)
-    s._hold(spans, depth)
-    return s
-
-
-def _cell(family, k: int, depth: int) -> ClopenSet:
-    """The depth-``depth`` cylinder of cell ``k``, built from its index."""
-    s = object.__new__(ClopenSet)
-    for name, value in (("family", family), ("include_root", False),
-                        ("cell_depth", depth), ("spans", ((k, k + 1),)),
-                        ("prefixes", (address_of(k | 1 << depth),))):
-        object.__setattr__(s, name, value)
-    return s
 
 
 def _check_coefficient(c: float, where: str) -> None:
@@ -392,7 +386,7 @@ def combine(
         if value == 0.0:
             continue
         with_root = value == root and root != 0.0
-        cells = _of_cells(family, [run for _, run in group], depth, with_root)
+        cells = ClopenSet._of_spans(family, [run for _, run in group], depth, with_root)
         terms.append((value, cells))
         if with_root:
             root = 0.0
@@ -404,64 +398,11 @@ def combine(
     return SimpleBoundaryFunction(tuple(terms))
 
 
-def _cell_fluxes(
-    f: SimpleBoundaryFunction, depths: Sequence[int], cell_depth: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fluxes of F's truncations through cells fine enough for F and E.
-
-    One :func:`cell_fluxes` call over ``depths``, read on the cells of
-    depth ``max(f.cell_depth, cell_depth)``.  Refuses data so large that a
-    flux overflows, with no floating-point warnings.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        cells, root = cell_fluxes(
-            f.family, f.cell_values(), f.root_value(), depths,
-            max(f.cell_depth, cell_depth),
-        )
-    _check_range(cells, root)
-    return cells, root
-
-
-def _check_range(*fluxes) -> None:
-    if not all(np.isfinite(x).all() for x in fluxes):
-        raise DomainError("a cell flux overflows the float range")
-
-
 def _set_fluxes(f: SimpleBoundaryFunction, e: ClopenSet, depths) -> np.ndarray:
-    """E's flux in each depth's truncation of F, read per canonical prefix.
-
-    A prefix at or below the coarse cells of :func:`graphdn.trees._exhaustion`
-    draws its ``mu`` share of its coarse cell's flux plus its Haar terms,
-    one ``lam @ coef`` product; a shallower one draws the coarse cells it
-    holds.  Refuses a flux out of the float range, with no floating-point
-    warnings.
-    """
-    alpha, beta = f.family.alpha, f.family.beta
-    with np.errstate(over="ignore", invalid="ignore"):
-        coarse, root, lam, details, scale = _exhaustion(
-            f.family, f.cell_values(), f.root_value(), depths,
-            max(f.cell_depth, e.cell_depth),
-        )
-        top = coarse.shape[1].bit_length() - 1
-        weights, coef = np.zeros(1 << top), [0.0] * len(details)
-        for i, length in _blocks(e.spans, e.cell_depth):
-            below = length - top
-            if below < 0:
-                weights[i << -below:i + 1 << -below] = 1.0
-                continue
-            # mu of w in its coarse cell, then in the whole Cantor part.
-            b = (i & (1 << below) - 1).bit_count()
-            weights[i >> below] += beta ** (below - b) * alpha**b
-            mass = beta ** (length - i.bit_count()) * alpha ** i.bit_count()
-            for k, delta in enumerate(details[:below]):
-                coef[k] += mass * delta[i >> below - k - 1]
-        # A non-finite coarse flux reaches the sum even at weight 0.
-        flux = coarse @ weights + lam @ coef
-        if e.include_root:
-            flux += root
-        flux = np.ldexp(flux, scale)
-    _check_range(flux)
-    return flux
+    """E's flux in each depth's truncation of F, read per canonical prefix."""
+    return _prefix_fluxes(f.family, f.cell_values(), f.root_value(), depths,
+                          max(f.cell_depth, e.cell_depth),
+                          _blocks(e.spans, e.cell_depth), e.include_root)
 
 
 def dn_at_depth(f: SimpleBoundaryFunction, e: ClopenSet, depth: int) -> float:
@@ -601,20 +542,25 @@ def measure_table(
         max(f.min_truncation_depth, partition_depth + 1), n_min, n_max
     )
     family = f.family
-    cells = [_cell(family, k, partition_depth) for k in range(2**partition_depth)]
+    cells = [ClopenSet._of_spans(family, ((k, k + 1),), partition_depth)
+             for k in range(2**partition_depth)]
     cells.append(ClopenSet.root_vertex(family))
 
-    rows, roots = _cell_fluxes(f, depths, partition_depth)
-    # The partition's cylinders are equal runs of the (as fine or finer)
-    # cells of the rows; the root vertex comes last, as in ``cells``.
-    per_cell = np.column_stack(
-        (rows.reshape(len(depths), 2**partition_depth, -1).sum(axis=2), roots)
-    )
-    # The whole boundary's flux, as its set's one block sums it.  Cells in
-    # range can sum past it; fsum raises OverflowError then.
+    rows, roots = cell_fluxes(family, f.cell_values(), f.root_value(), depths,
+                              max(f.cell_depth, partition_depth))
+    # Cells in the float range can sum past it: a partition cell or the
+    # whole boundary that does is refused, and a measure total that does
+    # makes fsum raise OverflowError.
     with np.errstate(over="ignore", invalid="ignore"):
+        # The partition's cylinders are equal runs of the (as fine or finer)
+        # cells of the rows; the root vertex comes last, as in ``cells``.
+        per_cell = np.column_stack(
+            (rows.reshape(len(depths), 2**partition_depth, -1).sum(axis=2), roots)
+        )
+        # The whole boundary's flux, as its set's one block sums it.
         whole = roots + rows.sum(axis=-1)
         additivity = np.abs(per_cell.sum(axis=1) - whole).max()
+    _check_range(additivity)
 
     reports = tuple(_reports(depths, per_cell.T.tolist(), tol))
     values = tuple(r.limit for r in reports)
@@ -623,7 +569,6 @@ def measure_table(
                   math.fsum(v for v in values if v < 0.0), math.fsum(values)]
     except OverflowError:
         raise DomainError("a measure total overflows the float range") from None
-    _check_range(additivity)
     return MeasureTable(
         partition_depth=partition_depth,
         cells=tuple(cells),
@@ -655,5 +600,11 @@ def quadratic_form(f: SimpleBoundaryFunction, depth: int) -> float:
         raise DomainError(
             f"depth {depth} too shallow; F needs >= {f.min_truncation_depth}"
         )
-    (cells,), (root,) = _cell_fluxes(f, [depth], 0)
-    return float(f.root_value() * root + f.cell_values() @ cells)
+    values, r = f.cell_values(), f.root_value()
+    (cells,), (root,) = cell_fluxes(f.family, values, r, [depth], f.cell_depth)
+    # Data and fluxes in the float range can multiply past it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = float(r * root + values @ cells)
+    if not math.isfinite(energy):
+        raise DomainError("the energy overflows the float range")
+    return energy

@@ -12,6 +12,12 @@ For the potential-free equation there is an explicit harmonic family pinned
 by a linear function on the root edge; it is level-constant and its
 descending edge slopes obey a closed product formula, which makes it a sharp
 oracle for the numerical solver.
+
+Exhaustion solves all truncation depths at once with no graph, by one
+kernel, :func:`_exhaustion`, whose output only its two readers take apart:
+:func:`cell_fluxes` per cell and :func:`_prefix_fluxes` per canonical
+prefix of a clopen set, each refusing a flux out of the float range.  One
+Kron elimination step, :func:`_eliminate`, serves every sweep.
 """
 
 from __future__ import annotations
@@ -395,13 +401,13 @@ def _coarse_fluxes(family, kappa2, deepest, depths, data, root_value, top):
     ``S = max(top, P)`` is a scaled copy of one potential-free subtree,
     whose admittance one recurrence gives (:func:`_admittances`):
     ``T = -Y`` and ``A = B = 0``.  One table, one row per depth, starts
-    there at level ``S + 1`` and is swept in place by the elimination step
-    of :func:`level_sweep` over the potential levels ``top + 1 .. P``
-    only; shallower rows enter as leaves at their own level.  Only the top
-    levels are swept edge by edge.  By current balance a coarse cell's
-    flux is ``A u + B c - (Y u + J)`` on its top edge, which the symmetry
-    of the subtree's two-terminal map turns into the cancellation-free
-    ``T u + (B c - J)``; no leaf flux is summed.
+    there at level ``S + 1`` and is swept in place by :func:`_eliminate`,
+    the elimination step of :func:`level_sweep`, over the potential levels
+    ``top + 1 .. P`` only; shallower rows enter as leaves at their own
+    level.  Only the top levels are swept edge by edge.  By current balance
+    a coarse cell's flux is ``A u + B c - (Y u + J)`` on its top edge,
+    which the symmetry of the subtree's two-terminal map turns into the
+    cancellation-free ``T u + (B c - J)``; no leaf flux is summed.
     """
     listed = depths.tolist()
     n_max, seed = max(listed), max(top, deepest)
@@ -441,16 +447,10 @@ def _coarse_fluxes(family, kappa2, deepest, depths, data, root_value, top):
         if k < levels:
             table[..., :k] += table[..., 1:k + 1]
             y_v, t_v, a_v, b_v = table[..., :k]
-            pivot = d[s] + y_v
+            pivot, y_v[...], t = _eliminate(d[s], o[s], kappa2[k - 1], y_v, t_v)
             lift = (w[s] + a_v) / pivot
             b_v -= t_v * lift
-            a_v[...] = w[s] - o[s] * lift
-            y_v *= d[s]
-            if kappa2[k - 1]:
-                y_v += kappa2[k - 1]
-            y_v /= pivot
-            t_v *= -o[s]
-            t_v /= pivot
+            a_v[...], t_v[...] = w[s] - o[s] * lift, t
             j[..., :k - top] += j[..., 1:k - top + 1]
             j[..., :k - top] *= -o[s][offsets]
             j[..., :k - top] /= pivot[:, offsets]
@@ -579,20 +579,67 @@ def cell_fluxes(
     :func:`_exhaustion`, plus its Haar terms: ``mu`` gives ``beta`` to an
     a-child and ``alpha`` to a b-child.  Rows are C-contiguous: numpy's
     summation order follows the memory layout, and callers sum over rows
-    and across cells.
+    and across cells.  Refuses a flux out of the float range, with no
+    floating-point warnings.
     """
-    coarse, root, lam, details, scale = _exhaustion(
-        family, cell_values, root_value, depths, cell_depth
-    )
-    top = coarse.shape[1].bit_length() - 1
-    cells = coarse.repeat(1 << cell_depth - top, axis=1)
-    cells *= np.tile(_masses(family, cell_depth - top), 1 << top)
-    # Each mode adds mu(cell) lam_k Delta_k to the cells under its vertex.
-    if details:
-        mass = _masses(family, cell_depth)
-        for k, delta in enumerate(details):
-            cells += np.multiply.outer(lam[:, k], mass * delta.repeat(len(mass) // len(delta)))
-    return np.ldexp(cells, scale), np.ldexp(root, scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coarse, root, lam, details, scale = _exhaustion(
+            family, cell_values, root_value, depths, cell_depth
+        )
+        top = coarse.shape[1].bit_length() - 1
+        cells = coarse.repeat(1 << cell_depth - top, axis=1)
+        cells *= np.tile(_masses(family, cell_depth - top), 1 << top)
+        # Each mode adds mu(cell) lam_k Delta_k to the cells under its vertex.
+        if details:
+            mass = _masses(family, cell_depth)
+            for k, delta in enumerate(details):
+                cells += np.multiply.outer(lam[:, k], mass * delta.repeat(len(mass) // len(delta)))
+        cells, root = np.ldexp(cells, scale), np.ldexp(root, scale)
+    _check_range(cells, root)
+    return cells, root
+
+
+def _prefix_fluxes(family, cell_values, root_value, depths, cell_depth, blocks,
+                   include_root):
+    """A clopen set's flux in each truncation of :func:`cell_fluxes`' data.
+
+    The set is its canonical prefixes ``blocks``, each ``(index, length)``
+    for the cell ``index`` of depth ``length <= cell_depth``, and the root
+    vertex if ``include_root``.  A prefix at or below the coarse cells
+    draws its ``mu`` share of its coarse cell's flux plus its Haar terms,
+    one ``lam @ coef`` product; a shallower one draws the coarse cells it
+    holds.  Refuses a flux out of the float range, with no warnings.
+    """
+    alpha, beta = family.alpha, family.beta
+    with np.errstate(over="ignore", invalid="ignore"):
+        coarse, root, lam, details, scale = _exhaustion(
+            family, cell_values, root_value, depths, cell_depth
+        )
+        top = coarse.shape[1].bit_length() - 1
+        weights, coef = np.zeros(1 << top), [0.0] * len(details)
+        for i, length in blocks:
+            below = length - top
+            if below < 0:
+                weights[i << -below:i + 1 << -below] = 1.0
+                continue
+            # mu of w in its coarse cell, then in the whole Cantor part.
+            b = (i & (1 << below) - 1).bit_count()
+            weights[i >> below] += beta ** (below - b) * alpha**b
+            mass = beta ** (length - i.bit_count()) * alpha ** i.bit_count()
+            for k, delta in enumerate(details[:below]):
+                coef[k] += mass * delta[i >> below - k - 1]
+        # A non-finite coarse flux reaches the sum even at weight 0.
+        flux = coarse @ weights + lam @ coef
+        if include_root:
+            flux += root
+        flux = np.ldexp(flux, scale)
+    _check_range(flux)
+    return flux
+
+
+def _check_range(*fluxes) -> None:
+    if not all(np.isfinite(x).all() for x in fluxes):
+        raise DomainError("a cell flux overflows the float range")
 
 
 def _masses(family: AlphaBetaSpec, depth: int) -> np.ndarray:

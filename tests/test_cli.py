@@ -624,6 +624,10 @@ def test_max_depth_refused_before_depths_exist(command):
         ["converge", "--alpha", "0.3", "--kappa2", "1e10", "--F", "1e308*all", "--E", "all",
          "--max-depth", "6"],
         ["measure", "--alpha", "0.3", "--F", "1e308*cyl:a-1e308*cyl:b", "--max-depth", "6"],
+        # Cells in range, 1.76e308 and 2.8e307 at depth 3, whose partition
+        # cell cyl:a is not.
+        ["measure", "--alpha", "0.3", "--F", "1.7e308*cyl:aa+1.6e308*cyl:ab",
+         "--partition-depth", "1", "--max-depth", "4"],
     ],
 )
 def test_overflow_exits_2(argv, capsys):

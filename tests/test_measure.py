@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import re
 import time
 
@@ -66,6 +68,11 @@ class TestClopenSet:
         assert hash(ClopenSet.cylinder(FAM5, "a")) == hash(
             ClopenSet.cylinder(deep, "a")
         )
+
+    def test_copy_and_pickle_keep_the_set(self):
+        s = ClopenSet(FAM3, ("ab", "b"), include_root=True)
+        for t in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert t == s and (t.spans, t.prefixes) == (s.spans, s.prefixes)
 
     def test_complement(self):
         assert ClopenSet.cylinder(FAM5, "a").complement().prefixes == ("b",)
@@ -332,15 +339,28 @@ class TestMeasureTable:
     def test_depths_checked_before_cells_are_built(self, monkeypatch):
         # A partition too deep for n_max is refused before its 2**16 cells
         # are enumerated.
-        def refuse(family, k, depth):
+        def refuse(family, spans, depth, include_root=False):
             raise AssertionError(f"depth-{depth} cells enumerated")
 
-        monkeypatch.setattr(measure, "_cell", refuse)
+        f = indicator(FAM3, "a")
+        monkeypatch.setattr(ClopenSet, "_of_spans", refuse)
         with pytest.raises(DomainError, match="below the starting depth 17"):
-            measure_table(indicator(FAM3, "a"), partition_depth=16, tol=1e-6, n_max=12)
+            measure_table(f, partition_depth=16, tol=1e-6, n_max=12)
         with pytest.raises(DomainError, match="n_min 4 too shallow"):
-            measure_table(indicator(FAM3, "a"), partition_depth=5, tol=1e-6, n_max=12,
-                          n_min=4)
+            measure_table(f, partition_depth=5, tol=1e-6, n_max=12, n_min=4)
+
+    def test_builds_no_address_strings(self, monkeypatch):
+        # Partition cells are made from their indices; a label is read only
+        # when asked for, after the call.
+        def refuse(code):
+            raise AssertionError(f"address of code {code} built")
+
+        f = indicator(FAM3, "a")
+        with monkeypatch.context() as patch:
+            patch.setattr(measure, "address_of", refuse)
+            table = measure_table(f, partition_depth=5, tol=1e-6, n_max=8)
+        labels = table.labels()
+        assert labels[0] == "@aaaaa" and labels[-2:] == ("@bbbbb", "v0")
 
     @pytest.mark.parametrize("partition_depth", range(1, 11))
     def test_cells_are_their_cylinders(self, partition_depth):
@@ -448,6 +468,13 @@ class TestQuadraticForm:
                     SimpleBoundaryFunction.indicator(si), sj, depth
                 )
         assert math.isclose(value, double, rel_tol=1e-10)
+
+    def test_refuses_overflow(self):
+        # The fluxes, about 1.2e160, are in range, but their products with
+        # the data of 1e160 are not: the energy read inf, with a warning.
+        f = SimpleBoundaryFunction(((1e160, ClopenSet.cylinder(FAM3, "a")),))
+        with pytest.raises(DomainError, match="the energy overflows the float range"):
+            quadratic_form(f, 5)
 
     def test_nonnegative_random(self):
         rng = np.random.default_rng(8)

@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 from dataclasses import replace
 
 import mpmath
@@ -524,6 +525,13 @@ class TestCellFluxes:
              coefs=[7.517198793937967e-08, -0.4834053406032024, 0.47241611418192564,
                     3.7780045695975555e-203, 3.7780045695975555e-203],
              kappa2=[0.0])
+    # A root datum of 0 whose flux cancels: the root's terms before they
+    # cancel, not the sweep's u1, bound its rounding (Hypothesis seeds 20
+    # and 24).
+    @example(alpha=0.6592434930680813, depth=3, top=2, coefs=[0.0, 1.0, -1.0, 0.0, 0.0],
+             kappa2=[])
+    @example(alpha=0.6315954510454233, depth=4, top=2,
+             coefs=[0.578125, 0.0, 0.0, -0.15625, 0.0], kappa2=[0.0, 4.0])
     @settings(max_examples=80, deadline=None)
     def test_matches_level_sweep(self, alpha, depth, top, coefs, kappa2):
         top = min(top, depth - 1)
@@ -552,8 +560,14 @@ class TestCellFluxes:
             contributions = np.abs(diag * leaf_values) + np.abs(off * above)
             bound = 64 * eps * contributions + n * 2.0**-1074 * diag
             reference = sol.leaf_flux.reshape(2**top, -1).sum(axis=1)
+            # The root's scale |d0 r| + |o0| u1, with u1 from the same sweep
+            # of |data|: u1 sums its terms before they cancel, as the
+            # cells' contributions do, where the sweep's own u1 may be
+            # rounding noise.
             d0, o0 = blocks[0]
-            scale = abs(d0[0] * coefs[4]) + abs(o0[0] * sol.values[1][0])
+            unsigned = level_sweep(blocks, levels_kappa2, np.abs(leaf_values),
+                                   abs(coefs[4]))
+            scale = abs(d0[0] * coefs[4]) + abs(o0[0] * unsigned.values[1][0])
             values = np.append(row, root)
             bound = np.append(bound.reshape(2**top, -1).sum(axis=1),
                               64 * eps * scale + n * 2.0**-1074 * d0[0])
@@ -716,6 +730,21 @@ class TestCellFluxes:
         too_deep = trees.MAX_SWEEP_EDGES.bit_length() + 1
         with pytest.raises(ValidationError, match=str(trees.MAX_SWEEP_EDGES)):
             trees.cell_fluxes(family, [1.0, 0.0], 0.0, [too_deep], 1)
+
+    def test_refuses_overflow(self):
+        # The data are scaled exactly to below 1 and the fluxes back: the
+        # a-cell's flux leaves the float range then and is refused, with no
+        # warning, while the b-cell's, -1.557e308, is read.
+        family = AlphaBetaSpec(alpha=0.3, depth=2)
+        data = ([1e308, -1e308], 0.0, [3], 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflows the float range"):
+                trees.cell_fluxes(family, *data)
+            with pytest.raises(DomainError, match="overflows the float range"):
+                trees._prefix_fluxes(family, *data, [(0, 1)], False)
+            (b,) = trees._prefix_fluxes(family, *data, [(1, 1)], False)
+        assert -1.56e308 < b < -1.55e308
 
 
 def _near(ours, reference, bound, exact):
