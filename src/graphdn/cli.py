@@ -36,13 +36,13 @@ def _parse_float(token: str, what: str) -> float:
         raise ValidationError(f"cannot parse {what} {token!r} as a number") from None
 
 
-def _family_from_args(args, depth: int | None = None) -> AlphaBetaSpec:
+def _family_from_args(args) -> AlphaBetaSpec:
     kappa2 = ()
     if args.kappa2:
         kappa2 = tuple(_parse_float(x, "kappa2") for x in args.kappa2.split(","))
     return AlphaBetaSpec(
         alpha=args.alpha,
-        depth=depth if depth is not None else getattr(args, "depth", 2),
+        depth=getattr(args, "depth", 2),
         root_length=args.root_length,
         weight_ratio=args.weight_ratio,
         kappa2_per_level=kappa2,
@@ -202,7 +202,7 @@ def _cmd_generate(args) -> int:
 
 def _summarize_solution(g, sol, system) -> None:
     kirchhoff, scales = sol.kirchhoff_residuals()
-    worst = float((kirchhoff / (scales + (scales == 0))).max()) if len(kirchhoff) else 0.0
+    worst = float((kirchhoff / (scales + (scales == 0))).max(initial=0.0))
     balance = current_balance(sol)
     identity = energy_identity(sol)
     # Reciprocity <DN u, q> = <u, DN q> against one fixed-seed probe solve

@@ -84,7 +84,7 @@ class InteriorSystem:
     """Equilibrated factorization of the interior block of a vertex system.
 
     Immutable after construction; one factorization may serve many
-    right-hand sides, including matrix-valued ones, concurrently.
+    right-hand sides, a vector or a matrix of them, concurrently.
     """
 
     def __init__(self, g: MetricGraph):
@@ -104,39 +104,28 @@ class InteriorSystem:
         self.interior = g.interior_vertices
         ii = np.asarray(self.interior, dtype=np.intp)
         bb = np.asarray(self.boundary, dtype=np.intp)
-        self._a_ib = self.matrix[ii][:, bb].tocsr() if len(ii) else None
+        self._a_ib = self.matrix[ii][:, bb].tocsr()
+        a_ii = self.matrix[ii][:, ii].tocsc()
+        self._scale = 1.0 / np.sqrt(a_ii.diagonal())
+        s = diags(self._scale)
+        self._scaled = csc_matrix(s @ a_ii @ s)
+        # SuperLU in symmetric mode: no partial pivoting, symmetric
+        # fill-reducing order; the SPD-exploiting configuration.
+        self._solve = np.zeros_like  # an empty interior has nothing to factor
         if len(ii):
-            a_ii = self.matrix[ii][:, ii].tocsc()
-            d = a_ii.diagonal()
-            scale = 1.0 / np.sqrt(d)
-            s = diags(scale)
-            self._scale = scale
-            self._scaled = csc_matrix(s @ a_ii @ s)
-            # SuperLU in symmetric mode: no partial pivoting, symmetric
-            # fill-reducing order; the SPD-exploiting configuration.
-            self._lu = splu(
+            self._solve = splu(
                 self._scaled,
                 permc_spec="MMD_AT_PLUS_A",
                 diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True},
-            )
-        else:
-            self._scale = np.zeros(0)
-            self._scaled = None
-            self._lu = None
+            ).solve
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve the interior block against one or many right-hand sides."""
-        if self._lu is None:
-            return np.zeros_like(rhs)
-        if rhs.ndim == 1:
-            return self._scale * self._lu.solve(self._scale * rhs)
-        scaled = self._scale[:, None] * rhs
-        return self._scale[:, None] * self._lu.solve(scaled)
+        scale = self._scale.reshape((-1,) + (1,) * (rhs.ndim - 1))
+        return scale * self._solve(scale * rhs)
 
     def rhs_for(self, boundary_values: np.ndarray) -> np.ndarray:
-        if self._a_ib is None:
-            return np.zeros(0)
         return -self._a_ib @ boundary_values
 
     @cached_property
@@ -152,7 +141,7 @@ class InteriorSystem:
         # random vectors, so the estimate does not depend on numpy's RNG.
         norm_a = abs(self._scaled).sum(axis=0).max()
         inv = LinearOperator(
-            (n, n), matvec=self._lu.solve, rmatvec=self._lu.solve
+            (n, n), matvec=self._solve, rmatvec=self._solve
         )
         norm_inv = onenormest(inv, t=1)
         return float(norm_a * norm_inv)
@@ -278,11 +267,10 @@ def solve_dirichlet(
     ub = _coerce_boundary_values(g, data)
     sys_ = InteriorSystem(g) if system is None else system
 
+    bidx = np.asarray(sys_.boundary, dtype=np.intp)
     values = np.zeros(g.n_vertices)
-    values[np.asarray(sys_.boundary, dtype=np.intp)] = ub
-    if sys_.interior:
-        ui = sys_.solve(sys_.rhs_for(ub))
-        values[np.asarray(sys_.interior, dtype=np.intp)] = ui
+    values[bidx] = ub
+    values[np.asarray(sys_.interior, dtype=np.intp)] = sys_.solve(sys_.rhs_for(ub))
 
     # Outward derivatives from the closed form, not matrix residuals.
     ends, outward = _outward(_edge_blocks(g), values)
@@ -298,7 +286,6 @@ def solve_dirichlet(
     )
     energy = edge_energies(lengths, kappa2, va, vb).sum()
 
-    bidx = np.asarray(sys_.boundary, dtype=np.intp)
     values.flags.writeable = False
     ub.flags.writeable = False
     bder = flux[bidx]
@@ -456,15 +443,9 @@ def max_principle_check(
     hi = float(sol.boundary_values.max())
     if sol.graph.edge_table[3].any():
         lo, hi = min(lo, 0.0), max(hi, 0.0)
-    if hi == lo:
-        return MaxPrincipleReport(
-            violations=(),
-            lower=lo,
-            upper=hi,
-            checked_vertices=0,
-            checked_edges=0,
-            skipped_constant=True,
-        )
+    skipped = hi == lo
+    interior = [] if skipped else list(sol.graph.interior_vertices)
+    edges = () if skipped else sol.edge_solutions
     tol = slack * max(1.0, abs(lo), abs(hi))
 
     def outside(value: float) -> bool:
@@ -472,15 +453,10 @@ def max_principle_check(
         return not (lo - tol < value < hi + tol)
 
     violations = []
-    n_v = 0
-    for v in sol.graph.interior_vertices:
-        n_v += 1
-        value = float(sol.values[v])
+    for v, value in zip(interior, sol.values[interior].tolist()):
         if outside(value):
             violations.append(MaxPrincipleViolation("vertex", v, value))
-    n_e = 0
-    for i, s in enumerate(sol.edge_solutions):
-        n_e += 1
+    for i, s in enumerate(edges):
         if not math.isfinite(s.c0 + s.c1):
             # A non-finite solution has no meaningful extremum to locate.
             violations.append(MaxPrincipleViolation("edge", i, s.c0 + s.c1))
@@ -492,9 +468,9 @@ def max_principle_check(
         violations=tuple(violations),
         lower=lo,
         upper=hi,
-        checked_vertices=n_v,
-        checked_edges=n_e,
-        skipped_constant=False,
+        checked_vertices=len(interior),
+        checked_edges=len(edges),
+        skipped_constant=skipped,
     )
 
 

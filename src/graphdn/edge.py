@@ -81,19 +81,16 @@ def edge_dn_blocks(lengths, kappa2) -> tuple[np.ndarray, np.ndarray]:
     series = z < SERIES_PRODUCT
     flat = z > ASYMPTOTIC_PRODUCT
     middle = ~(series | flat)
-    if series.any():
-        z2, length = z[series] * z[series], lengths[series]
-        diag[series] = (1.0 + z2 / 3.0 - z2 * z2 / 45.0) / length
-        off[series] = -(1.0 - z2 / 6.0 + 7.0 * z2 * z2 / 360.0) / length
-    if flat.any():
-        diag[flat] = kappa[flat]
-        off[flat] = -2.0 * kappa[flat] * np.exp(-z[flat])
-    if middle.any():
-        k, zm = kappa[middle], z[middle]
-        # coth z = (2 + E) / (-E), csch z = 2 exp(-z) / (-E), E = expm1(-2z) < 0.
-        em = np.expm1(-2.0 * zm)
-        diag[middle] = k * (-(2.0 + em) / em)
-        off[middle] = -k * (-2.0 * np.exp(-zm) / em)
+    z2, length = z[series] * z[series], lengths[series]
+    diag[series] = (1.0 + z2 / 3.0 - z2 * z2 / 45.0) / length
+    off[series] = -(1.0 - z2 / 6.0 + 7.0 * z2 * z2 / 360.0) / length
+    diag[flat] = kappa[flat]
+    off[flat] = -2.0 * kappa[flat] * np.exp(-z[flat])
+    k, zm = kappa[middle], z[middle]
+    # coth z = (2 + E) / (-E), csch z = 2 exp(-z) / (-E), E = expm1(-2z) < 0.
+    em = np.expm1(-2.0 * zm)
+    diag[middle] = k * (-(2.0 + em) / em)
+    off[middle] = -k * (-2.0 * np.exp(-zm) / em)
     return diag, off
 
 

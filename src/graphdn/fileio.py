@@ -24,13 +24,16 @@ from __future__ import annotations
 import io
 from contextlib import contextmanager
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dirichlet import DirichletSolution, DNMatrix
 from .errors import ValidationError
 from .graph import MetricGraph, _graph_from_fields, address_code, address_of
-from .measure import ConvergenceReport, MeasureTable
+
+if TYPE_CHECKING:  # annotations only: importing fileio loads no solver
+    from .dirichlet import DirichletSolution, DNMatrix
+    from .measure import ConvergenceReport, MeasureTable
 
 __all__ = [
     "write_graph",

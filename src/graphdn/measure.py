@@ -52,6 +52,7 @@ from .trees import (
     _address_codes,
     _check_cell_depth,
     _check_range,
+    _largest_depth,
     _prefix_fluxes,
     cell_fluxes,
     cylinder_slice,
@@ -73,6 +74,13 @@ __all__ = [
 # Convergence is declared once this many trailing first differences sit
 # below the tolerance.  Tunable in one place.
 CONSECUTIVE_BELOW_TOL = 3
+
+# The deepest partition of measure_table, refused before any cell is built.
+# Each of its 2**M cells holds a ClopenSet and a ConvergenceReport, 1.25 KB:
+# `graphdn measure --alpha 0.3 --F cyl:a --max-depth M + 4` peaked at 149 MB
+# for M = 16 and 231 MB for M = 17 (2-core x86-64 VM, CPython 3.11, numpy
+# 2.4), so 0.7 GB here and 1.35 GB at depth 20: one call stays under 1 GB.
+MAX_PARTITION_DEPTH = 19
 
 
 def _intervals(prefixes: Iterable[str], depth: int) -> list[list[int]]:
@@ -108,6 +116,16 @@ def _overlap(sets: Sequence["ClopenSet"]) -> bool:
     spans = sorted((lo << k, hi << k) for s in sets for k in [depth - s.cell_depth]
                    for lo, hi in s.spans)
     return any(lo < end for (_, end), (lo, _) in zip(spans, spans[1:]))
+
+
+def _boundary_codes(graph) -> tuple[tuple[int, ...], list[int]]:
+    """A truncation's boundary vertices and address codes; each must have one."""
+    ends = graph.boundary_vertices
+    codes = _address_codes(graph)[list(ends)].tolist()
+    for v, c in zip(ends, codes):
+        if c < 0:
+            raise DomainError(f"boundary vertex {v} carries no address")
+    return ends, codes
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -231,11 +249,7 @@ class ClopenSet:
         The root boundary vertex is one when ``include_root`` is set; a cell
         that straddles the set is refused, as :meth:`contains_cell` does.
         """
-        ends = graph.boundary_vertices
-        codes = _address_codes(graph)[list(ends)].tolist()
-        for v, c in zip(ends, codes):
-            if c < 0:
-                raise DomainError(f"boundary vertex {v} carries no address")
+        ends, codes = _boundary_codes(graph)
         if self.include_root and 0 not in codes:
             raise DomainError("graph has no root boundary vertex")
         return tuple(v for v, c in zip(ends, codes)
@@ -337,12 +351,8 @@ class SimpleBoundaryFunction:
 
     def boundary_data(self, graph) -> dict[int, float]:
         """Dirichlet data on a truncation: each cell's value of F."""
-        ends, data = graph.boundary_vertices, {}
-        for v, c in zip(ends, _address_codes(graph)[list(ends)].tolist()):
-            if c < 0:
-                raise DomainError(f"boundary vertex {v} carries no address")
-            data[v] = self.value_at_cell(address_of(c)) if c else self.root_value()
-        return data
+        return {v: self.value_at_cell(address_of(c)) if c else self.root_value()
+                for v, c in zip(*_boundary_codes(graph))}
 
     def label(self) -> str:
         return " + ".join(f"{c:g}*{s.label()}" for c, s in self.terms)
@@ -469,7 +479,7 @@ def _depth_range(lowest: int, n_min: int | None, n_max: int) -> range:
         raise DomainError(f"n_min {start} too shallow; need >= {lowest}", "n_min")
     if n_max < start:
         raise DomainError(f"n_max {n_max} below the starting depth {start}", "n_max")
-    if n_max > (deepest := MAX_SWEEP_EDGES.bit_length()):
+    if n_max > (deepest := _largest_depth(MAX_SWEEP_EDGES)):
         raise DomainError(f"n_max {n_max} exceeds the level-array limit of "
                           f"{MAX_SWEEP_EDGES} edges (largest depth {deepest})", "n_max")
     return range(start, n_max + 1)
@@ -541,6 +551,12 @@ def measure_table(
     depths = _depth_range(
         max(f.min_truncation_depth, partition_depth + 1), n_min, n_max
     )
+    if partition_depth > MAX_PARTITION_DEPTH:
+        raise ValidationError(
+            f"partition depth {partition_depth} exceeds the limit of "
+            f"{MAX_PARTITION_DEPTH}: its {2**partition_depth} cells hold about "
+            "1.25 KB each"
+        )
     family = f.family
     cells = [ClopenSet._of_spans(family, ((k, k + 1),), partition_depth)
              for k in range(2**partition_depth)]

@@ -126,6 +126,12 @@ class AlphaBetaSpec:
         )
 
 
+def _largest_depth(max_edges: int) -> int:
+    """The deepest truncation within ``max_edges`` (depth n has 2**n - 1),
+    so that a huge depth is refused without computing its edge count."""
+    return (max_edges + 1).bit_length() - 1
+
+
 def _check_depth(
     family: AlphaBetaSpec, depth: int, max_edges: int, what: str
 ) -> None:
@@ -133,10 +139,7 @@ def _check_depth(
     depth would, or as the ``max_edges`` ceiling and the shortest edge do."""
     if depth < 1:
         raise ValidationError(f"depth must be at least 1, got {depth}")
-    # A depth-n truncation has 2**n - 1 edges; compare depths, so that a
-    # huge depth is refused without computing its edge count.
-    largest = (max_edges + 1).bit_length() - 1
-    if depth > largest:
+    if depth > (largest := _largest_depth(max_edges)):
         raise ValidationError(
             f"depth {depth} exceeds the {what} limit of {max_edges} edges "
             f"(largest depth {largest})"
@@ -155,8 +158,7 @@ def _check_cell_depth(depth: int) -> None:
     Depth-``M`` cells resolve from depth ``M + 1`` on; callers check this
     before they enumerate the ``2**M`` cells.
     """
-    largest = (MAX_SWEEP_EDGES + 1).bit_length() - 1
-    if depth >= largest:
+    if depth >= (largest := _largest_depth(MAX_SWEEP_EDGES)):
         raise ValidationError(
             f"depth-{depth} cells need a truncation past the level-array limit "
             f"of {MAX_SWEEP_EDGES} edges (deepest cells {largest - 1})"
@@ -470,11 +472,8 @@ def _coarse_fluxes(family, kappa2, deepest, depths, data, root_value, top):
     def block(k):
         return d[spans[k]][counts[k]], o[spans[k]][counts[k]]
 
-    if top:
-        values, y_c, j = _reduce(block, kappa2[:top], y_c, j, root_value)
-        t *= values[-1].repeat(2, axis=-1)
-    else:
-        t *= root_value
+    values, y_c, j = _reduce(block, kappa2[:top], y_c, j, root_value)
+    t *= values[-1].repeat(t.shape[-1] // values[-1].shape[-1], axis=-1)
     t += b_j
     return t, y_c[:, 0] * root_value + j[:, 0]
 
@@ -576,8 +575,9 @@ def cell_fluxes(
     derivatives) and ``root[i]`` its root flux.
 
     Each cell takes its ``mu`` share of its coarse cell's flux from
-    :func:`_exhaustion`, plus its Haar terms: ``mu`` gives ``beta`` to an
-    a-child and ``alpha`` to a b-child.  Rows are C-contiguous: numpy's
+    :func:`_exhaustion`, plus its Haar terms, which come with one coarse
+    cell only, where that share is the cell's ``mu``: ``mu`` gives ``beta``
+    to an a-child and ``alpha`` to a b-child.  Rows are C-contiguous: numpy's
     summation order follows the memory layout, and callers sum over rows
     and across cells.  Refuses a flux out of the float range, with no
     floating-point warnings.
@@ -587,13 +587,12 @@ def cell_fluxes(
             family, cell_values, root_value, depths, cell_depth
         )
         top = coarse.shape[1].bit_length() - 1
+        mass = np.tile(_masses(family, cell_depth - top), 1 << top)
         cells = coarse.repeat(1 << cell_depth - top, axis=1)
-        cells *= np.tile(_masses(family, cell_depth - top), 1 << top)
+        cells *= mass
         # Each mode adds mu(cell) lam_k Delta_k to the cells under its vertex.
-        if details:
-            mass = _masses(family, cell_depth)
-            for k, delta in enumerate(details):
-                cells += np.multiply.outer(lam[:, k], mass * delta.repeat(len(mass) // len(delta)))
+        for k, delta in enumerate(details):
+            cells += np.multiply.outer(lam[:, k], mass * delta.repeat(len(mass) // len(delta)))
         cells, root = np.ldexp(cells, scale), np.ldexp(root, scale)
     _check_range(cells, root)
     return cells, root
@@ -622,10 +621,10 @@ def _prefix_fluxes(family, cell_values, root_value, depths, cell_depth, blocks,
             if below < 0:
                 weights[i << -below:i + 1 << -below] = 1.0
                 continue
-            # mu of w in its coarse cell, then in the whole Cantor part.
+            # w's mu share of its coarse cell, its mu where there are modes.
             b = (i & (1 << below) - 1).bit_count()
-            weights[i >> below] += beta ** (below - b) * alpha**b
-            mass = beta ** (length - i.bit_count()) * alpha ** i.bit_count()
+            mass = beta ** (below - b) * alpha**b
+            weights[i >> below] += mass
             for k, delta in enumerate(details[:below]):
                 coef[k] += mass * delta[i >> below - k - 1]
         # A non-finite coarse flux reaches the sum even at weight 0.

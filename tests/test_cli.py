@@ -485,6 +485,20 @@ def _child_env():
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
 
+def _run_in_1_gib(argv):
+    """The command line in a child limited to 1 GiB of address space, where
+    enumerating 2**M cells of a deep M ends in a MemoryError."""
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "graphdn.cli", *argv], env=_child_env(),
+        preexec_fn=limit, capture_output=True, text=True, timeout=120,
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -496,21 +510,22 @@ def _child_env():
 def test_deep_cells_refused_before_enumeration(argv):
     # Depth-M cells need a depth-(M + 1) truncation, past the sweep ceiling
     # from M = 24 on.  The refusal must come before the 2**M cells are
-    # enumerated: in a child limited to 1 GiB of address space, enumerating
-    # them ends in a MemoryError.
-    resource = pytest.importorskip("resource")
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-    done = subprocess.run(
-        [sys.executable, "-m", "graphdn.cli", *argv], env=_child_env(),
-        preexec_fn=limit, capture_output=True, text=True, timeout=120,
-    )
+    # enumerated.
+    done = _run_in_1_gib(argv)
     assert done.returncode == 2
     assert done.stderr.startswith("error:")
     assert str(trees.MAX_SWEEP_EDGES) in done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_deep_partition_refused_before_its_cells():
+    # Within the sweep ceiling, but 2**23 cells of about 1.25 KB each would
+    # take 10.7 GB.
+    done = _run_in_1_gib(["measure", "--alpha", "0.3", "--F", "cyl:a",
+                          "--partition-depth", "23", "--max-depth", "24"])
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == ("error: partition depth 23 exceeds the limit of 19: "
+                           "its 8388608 cells hold about 1.25 KB each\n")
 
 
 LINUX_RSS = pytest.mark.skipif(not sys.platform.startswith("linux"),

@@ -388,6 +388,20 @@ class TestInteriorSystem:
         exact = np.linalg.cond(InteriorSystem(g)._scaled.toarray(), 1)
         assert exact / 2 <= estimate <= exact * (1 + 1e-12)
 
+    def test_empty_interior(self):
+        # Every vertex is a boundary vertex: nothing is factored, and the
+        # general path solves to empty arrays.
+        g = interval(kappa2=2.0)
+        system = InteriorSystem(g)
+        for rhs in (np.zeros(0), np.zeros((0, 3))):
+            x = system.solve(rhs)
+            assert x.shape == rhs.shape and not x.any()
+        rhs = system.rhs_for(np.array([1.0, -2.0]))
+        assert rhs.shape == (0,) and rhs.dtype == float
+        assert system.condition_estimate == 1.0
+        a_bb = assemble(g).toarray()
+        assert dn_matrix(g, system).matrix.tobytes() == a_bb.tobytes()
+
     def test_shared_factorization(self):
         g = star3()
         system = InteriorSystem(g)

@@ -280,6 +280,21 @@ class TestPotentialWeights:
         assert math.isclose(above / below, (1.001 / 0.999) ** 2, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "kappa2",
+    [[1.0, 1e6], [0.0, 1e6], [0.0, 1.0], []],
+    ids=["no-series", "no-middle", "no-flat", "no-edges"],
+)
+def test_blocks_with_an_empty_branch(kappa2):
+    # Each branch is evaluated on its own edges, an empty one on none: every
+    # edge's block is the one it has alone, bit for bit, with no warning.
+    diag, off = edge_dn_blocks(np.ones(len(kappa2)), kappa2)
+    assert diag.shape == off.shape == (len(kappa2),)
+    for i, q in enumerate(kappa2):
+        block = edge_dn_block(1.0, q)
+        assert (diag[i], off[i]) == (block.h_aa, block.h_ab)
+
+
 def test_overflowing_product_takes_the_flat_branch_quietly():
     # kappa * length overflows to inf, the flat branch's own input; the
     # suite turns the RuntimeWarning numpy would print into an error.

@@ -1,4 +1,5 @@
-"""Import hygiene: ``import graphdn`` and tree-family exhaustion load no scipy.
+"""Import hygiene: ``import graphdn``, ``graphdn.fileio`` and tree-family
+exhaustion load no scipy.
 
 The Dirichlet solver's names are imported on first access, so each check
 runs in a fresh child interpreter, where nothing has loaded scipy yet.
@@ -43,6 +44,7 @@ TREE_PATH = """
 import json, sys
 import numpy as np
 import graphdn
+import graphdn.fileio  # names the solver's types in annotations only
 from graphdn.edge import edge_dn_blocks
 from graphdn.trees import level_lengths, level_sweep
 

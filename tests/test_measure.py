@@ -337,8 +337,8 @@ class TestMeasureTable:
         assert calls == [(2, 2, [3, 4, 5, 6, 7])]
 
     def test_depths_checked_before_cells_are_built(self, monkeypatch):
-        # A partition too deep for n_max is refused before its 2**16 cells
-        # are enumerated.
+        # A partition too deep for n_max, or for memory, is refused before
+        # its cells are enumerated.
         def refuse(family, spans, depth, include_root=False):
             raise AssertionError(f"depth-{depth} cells enumerated")
 
@@ -348,6 +348,12 @@ class TestMeasureTable:
             measure_table(f, partition_depth=16, tol=1e-6, n_max=12)
         with pytest.raises(DomainError, match="n_min 4 too shallow"):
             measure_table(f, partition_depth=5, tol=1e-6, n_max=12, n_min=4)
+        # At about 1.25 KB a cell, the 2**20 cells of depth 20 would take
+        # 1.35 GB; depth 23 is within the sweep ceiling at n_max 24.
+        for depth in (20, 23):
+            with pytest.raises(ValidationError,
+                               match=f"partition depth {depth} exceeds the limit of 19"):
+                measure_table(f, partition_depth=depth, tol=1e-6, n_max=24)
 
     def test_builds_no_address_strings(self, monkeypatch):
         # Partition cells are made from their indices; a label is read only
